@@ -69,6 +69,8 @@ RESPONSE_SCHEMA = {
     "required": ["sentiment", "confidence", "rationale"],
 }
 
+_SCHEMA_TEXT = json.dumps(RESPONSE_SCHEMA, indent=2)
+
 _SENTIMENT_TO_LABEL = {"promotional": PROMOTIONAL, "crm": CRM, "alert": ALERT}
 
 
@@ -83,7 +85,7 @@ class AdapterProtocolError(RuntimeError):
 def build_prompt(subject: str, body: str) -> str:
     email_text = f"Subject: {subject}\n\n{body}".strip()
     return PROTOCOL_TEMPLATE.format(
-        schema=json.dumps(RESPONSE_SCHEMA, indent=2), input=email_text)
+        schema=_SCHEMA_TEXT, input=email_text)
 
 
 def extract_json_objects(text: str) -> list[dict]:

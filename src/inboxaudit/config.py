@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
+from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 
 class ConfigError(ValueError):
@@ -66,6 +67,11 @@ class AuditConfig:
             raise ConfigError("decomposition_period must be >= 2")
         if not (0.0 < self.pca_variance_threshold <= 1.0):
             raise ConfigError("pca_variance_threshold must be in (0, 1]")
+        try:
+            ZoneInfo(self.audit_timezone)
+        except (ZoneInfoNotFoundError, ValueError) as exc:
+            raise ConfigError(
+                f"unknown audit_timezone: {self.audit_timezone!r}") from exc
 
 
 _SCALAR_FIELDS = {f.name: f.type for f in dataclasses.fields(AuditConfig)

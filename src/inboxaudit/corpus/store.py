@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable
+from zoneinfo import ZoneInfo
 
 from .aliases import AliasRegistry
 from .eml import PARSE_OK, PARSE_UNPARSEABLE, UNMATCHED, EmailRecord, parse_eml
@@ -84,12 +85,13 @@ def ingest_corpus(directory: str | Path,
     if not directory.is_dir():
         raise OSError(f"not a readable directory: {directory}")
 
+    tz = ZoneInfo(audit_timezone)
     report = IngestReport()
     seen: dict[str, EmailRecord] = {}
     for path in sorted(directory.rglob("*.eml")):
         report.files += 1
         raw = path.read_bytes()
-        rec = parse_eml(raw, registry=registry, audit_timezone=audit_timezone,
+        rec = parse_eml(raw, registry=registry, audit_timezone=tz,
                         trusted_mx=trusted_mx)
         if rec.message_id in seen:
             report.duplicates += 1

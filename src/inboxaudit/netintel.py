@@ -45,11 +45,16 @@ class AsnTable:
     def __init__(self):
         # family → prefix_len → network_int → AsnRecord
         self._tables: dict[int, dict[int, dict[int, AsnRecord]]] = {4: {}, 6: {}}
+        # family → the prefix lengths present, longest first
+        self._lengths: dict[int, list[int]] = {4: [], 6: []}
 
     def add_network(self, network: ipaddress._BaseNetwork, record: AsnRecord) -> None:
         family = network.version
-        self._tables[family].setdefault(
-            network.prefixlen, {})[int(network.network_address)] = record
+        nets = self._tables[family].get(network.prefixlen)
+        if nets is None:
+            nets = self._tables[family][network.prefixlen] = {}
+            self._lengths[family] = sorted(self._tables[family], reverse=True)
+        nets[int(network.network_address)] = record
 
     def __len__(self) -> int:
         return sum(len(nets) for fam in self._tables.values()
@@ -64,7 +69,7 @@ class AsnTable:
         table = self._tables[addr.version]
         bits = addr.max_prefixlen
         value = int(addr)
-        for plen in sorted(table, reverse=True):
+        for plen in self._lengths[addr.version]:
             shifted = value >> (bits - plen) << (bits - plen) if plen else 0
             record = table[plen].get(shifted)
             if record is not None:

@@ -13,6 +13,7 @@ sweeps the full verdict/domain/ASN grid for taxonomy totality checks.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
@@ -39,9 +40,11 @@ def render_eml(*, to_addr: str, from_addr: str, date: datetime, subject: str,
     msg["Delivered-To"] = to_addr
     msg["Return-Path"] = f"<{from_addr}>"
     ip_part = f" [{sender_ip}]" if sender_ip else ""
+    # hash() is salted per process; SHA-256 keeps the bytes reproducible
+    hop_id = int(hashlib.sha256(message_id.encode()).hexdigest(), 16) % 10**9
     msg["Received"] = (f"from {sender_host} ({sender_host}{ip_part}) "
                        f"by {trusted_mx} (Postfix) with ESMTPS id "
-                       f"{abs(hash(message_id)) % 10**9:09d}; "
+                       f"{hop_id:09d}; "
                        f"{format_datetime(date)}")
     mechanisms = []
     if spf is not None:

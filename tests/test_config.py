@@ -96,6 +96,8 @@ def test_bad_coercion_is_config_error():
     ({"peak_sigma": "0"}, "peak_sigma"),
     ({"decomposition_period": "1"}, "decomposition_period"),
     ({"pca_variance_threshold": "1.2"}, "pca_variance_threshold"),
+    ({"audit_timezone": "Mars/Olympus"}, "audit_timezone"),
+    ({"audit_timezone": "../etc/localtime"}, "audit_timezone"),
 ])
 def test_validation_rejections(values, needle):
     with pytest.raises(ConfigError, match=needle):

@@ -1,12 +1,18 @@
 """EML parsing: header precedence, dates, bodies, total-function behavior."""
 
+import base64
 from datetime import date, datetime, timezone
+from email import policy
+from email.message import Message
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from inboxaudit.corpus.aliases import AliasEntry, AliasRegistry
-from inboxaudit.corpus.eml import (PARSE_OK, PARSE_UNPARSEABLE, UNMATCHED,
-                                   EmailRecord, html_to_text, parse_eml)
+from inboxaudit.corpus.eml import (_DATE_HEADERS, _PLAIN_FORMS, PARSE_OK,
+                                   PARSE_UNPARSEABLE, UNMATCHED, EmailRecord,
+                                   _decoded, html_to_text, parse_eml)
 from inboxaudit.synth import render_eml
 
 TRUSTED = "mx.audit.example"
@@ -194,3 +200,212 @@ def test_round_trip_record_dict(registry):
     rec = parse_eml(build(), registry, trusted_mx=TRUSTED)
     again = EmailRecord.from_dict(rec.to_dict())
     assert again == rec
+
+
+# --- decoding matches a full policy.default parse -------------------------
+#
+# Each case's expected record is what parse_eml gave when it parsed the
+# whole message with email.policy.default and decoded every header through
+# its header registry. Only the fields that differ from BASE_RECORD are
+# listed.
+
+RECEIVED = (b"from out.sender.example (out.sender.example [167.89.1.1]) "
+            b"by mx.audit.example (Postfix) with ESMTPS id 000000001; "
+            b"Mon, 04 Mar 2024 10:30:00 +0000")
+
+BASE_HEADERS = {
+    b"Delivered-To": b"maple007@audit.example",
+    b"Received": RECEIVED,
+    b"Authentication-Results": (b"mx.audit.example; spf=pass "
+                                b"smtp.mailfrom=deals@mail.shopzilla.com; "
+                                b"dkim=pass header.d=shopzilla.com"),
+    b"From": b"Shopzilla <deals@mail.shopzilla.com>",
+    b"To": b"maple007@audit.example",
+    b"Subject": b"Flash sale",
+    b"Date": b"Tue, 05 Mar 2024 09:00:00 +0100",
+    b"Message-ID": b"<msg-1@shopzilla.com>",
+    b"MIME-Version": b"1.0",
+    b"Content-Type": b'text/plain; charset="utf-8"',
+    b"Content-Transfer-Encoding": b"7bit",
+}
+
+BASE_RECORD = {
+    "alias": {"index": 7, "local_part": "maple007",
+              "registration_date": "2024-01-01",
+              "service_kind": "online_service", "service_name": "shopzilla"},
+    "body_text": "Save big today",
+    "dkim": "pass",
+    "from_address": "deals@mail.shopzilla.com",
+    "from_root_domain": "shopzilla.com",
+    "message_id": "msg-1@shopzilla.com",
+    "parse_status": "ok",
+    "received_local": "2024-03-05T03:00:00-05:00",
+    "received_utc": "2024-03-05T08:00:00+00:00",
+    "sender_ip": "167.89.1.1",
+    "spf": "pass",
+    "subject": "Flash sale",
+}
+
+# the Received stamp, used when Date does not parse
+FROM_RECEIVED = {"received_utc": "2024-03-04T10:30:00+00:00",
+                 "received_local": "2024-03-04T05:30:00-05:00"}
+
+ALTERNATIVE = (b"--b1\nContent-Type: text/plain; charset=utf-8\n\nplain part\n"
+               b"--b1\nContent-Type: text/html; charset=utf-8\n\n"
+               b"<p>html part</p>\n--b1--")
+
+
+def eml(headers=None, body=b"Save big today", crlf=False) -> bytes:
+    """BASE_HEADERS with ``headers`` replacing them (None drops one)."""
+    merged = {**BASE_HEADERS, **(headers or {})}
+    lines = [name + b": " + value for name, value in merged.items()
+             if value is not None]
+    raw = b"\n".join(lines) + b"\n\n" + body + b"\n"
+    return raw.replace(b"\n", b"\r\n") if crlf else raw
+
+
+DECODING_CASES = [
+    ("encoded_subject",
+     eml({b"Subject": b"=?utf-8?q?Caf=C3=A9_deals?="}),
+     {"subject": "Café deals"}),
+    ("encoded_from",
+     eml({b"From": b"=?utf-8?b?Q2Fmw6k=?= <deals@mail.shopzilla.com>"}),
+     {}),
+    ("adjacent_encoded_words",
+     eml({b"Subject": b"=?utf-8?q?Caf=C3=A9?= =?utf-8?q?_deals?="}),
+     {"subject": "Café deals"}),
+    ("unknown_encoded_word_charset",
+     eml({b"Subject": b"=?x-unknown?q?abc?= sale"}),
+     {"subject": "abc sale"}),
+    ("raw_utf8_subject",
+     eml({b"Subject": "Café été".encode("utf-8")}),
+     {"subject": "Café été"}),
+    ("raw_latin1_subject",
+     eml({b"Subject": "Café été".encode("latin-1")}),
+     {"subject": "Caf\ufffd \ufffdt\ufffd"}),
+    ("raw_utf8_from_name",
+     eml({b"From": "Café <deals@mail.shopzilla.com>".encode("utf-8")}),
+     {}),
+    ("received_folded_before_by",
+     eml({b"Received": RECEIVED.replace(b" by ", b"\n by ")}),
+     {}),
+    ("malformed_from",
+     eml({b"From": b"Shop <deals@mail.shopzilla.com"}),
+     {}),
+    ("from_without_domain",
+     eml({b"From": b"deals at shopzilla"}),
+     {"from_address": "deals at shopzilla", "from_root_domain": ""}),
+    ("group_syntax_to",
+     eml({b"Delivered-To": None,
+          b"To": b"friends: maple007@audit.example, other@x.example;"}),
+     {}),
+    ("to_with_comment",
+     eml({b"Delivered-To": None, b"To": b"maple007@audit.example (me)"}),
+     {}),
+    ("message_id_trailing_text",
+     eml({b"Message-ID": b"<msg-1@shopzilla.com> extra"}),
+     {}),
+    ("invalid_date",
+     eml({b"Date": b"not a date"}),
+     FROM_RECEIVED),
+    ("empty_date",
+     eml({b"Date": b""}),
+     FROM_RECEIVED),
+    ("unknown_body_charset",
+     eml({b"Content-Type": b"text/plain; charset=x-unknown"},
+         body="Café".encode("utf-8")),
+     {"body_text": "Café"}),
+    ("quoted_printable_latin1_body",
+     eml({b"Content-Type": b"text/plain; charset=iso-8859-1",
+          b"Content-Transfer-Encoding": b"quoted-printable"},
+         body=b"Caf=E9 =E9t=E9"),
+     {"body_text": "Café été"}),
+    ("bad_base64_body",
+     eml({b"Content-Transfer-Encoding": b"base64"},
+         body=base64.b64encode(b"Save big today")[:-3] + b"!!"),
+     {"body_text": "U2F2ZSBiaWcgdG9kY!!"}),
+    ("html_only",
+     eml({b"Content-Type": b"text/html; charset=utf-8"},
+         body=b"<html><head><style>x{}</style></head><body><p>Hello "
+              b"<b>world</b></p><script>alert(1)</script></body></html>"),
+     {"body_text": "Hello\nworld"}),
+    ("multipart_alternative",
+     eml({b"Content-Type": b'multipart/alternative; boundary="b1"',
+          b"Content-Transfer-Encoding": None},
+         body=ALTERNATIVE),
+     {"body_text": "plain part"}),
+    ("crlf_line_endings",
+     eml({b"Received": RECEIVED.replace(b" by ", b"\n\tby ")}, crlf=True),
+     {}),
+]
+
+
+@pytest.mark.parametrize("raw,changed", [c[1:] for c in DECODING_CASES],
+                         ids=[c[0] for c in DECODING_CASES])
+def test_decoding_matches_policy_default(registry, raw, changed):
+    rec = parse_eml(raw, registry, audit_timezone="America/New_York",
+                    trusted_mx=TRUSTED)
+    assert rec.to_dict() == {**BASE_RECORD, **changed}
+
+
+# pieces that exercise folding, encoded words, 8-bit bytes (as the parser's
+# surrogate escapes), address, msg-id, date and MIME parameter syntax
+_VALUE_PIECES = st.sampled_from([
+    "a", "Z", "0", "-", ".", " ", "\t", "@", "<", ">", ",", ";", ":", '"', "(",
+    ")", "\\", "[", "]", "=", "?", "*", "'", "%", "/", "\x0b", "\x0c", "\r\n ",
+    "\n\t", "é", "\udce9", "=?utf-8?q?Caf=C3=A9?=", "=?x-unknown?q?a?=",
+    "deals@shop.example", "Shop Team <deals@shop.example>", "<id.1@host>",
+    "Mon, 04 Mar 2024 10:30:00 +0000", "4 Mar 24 10:30 EST", "+0099",
+    "text/plain", "; charset=utf-8", '; charset="utf-8"', "; name*=utf-8''a",
+    "; boundary=b1", "1.0", "base64",
+])
+_HEADER_NAMES = ["Subject", "Received", "Authentication-Results",
+                 "Delivered-To", "X-Original-To", "From", "To", "Cc", "Sender",
+                 "Date", "Message-ID", "MIME-Version", "Content-Type",
+                 "Content-Disposition", "Content-Transfer-Encoding"]
+
+
+def test_every_typed_header_has_a_plain_form():
+    # a header missing here would be taken as unstructured
+    typed = set(policy.default.header_factory.registry)
+    assert typed == set(_PLAIN_FORMS) | _DATE_HEADERS | {"subject"}
+
+
+def _mime_reading(value: str) -> tuple:
+    msg = Message()
+    msg["Content-Type"] = value
+    return (msg.get_content_type(), msg.get_param("charset"),
+            msg.get_boundary(), msg.get_param("name"))
+
+
+@given(name=st.sampled_from(_HEADER_NAMES),
+       value=st.lists(_VALUE_PIECES, max_size=8).map("".join))
+def test_decoded_header_reads_as_policy_default(name, value):
+    value = value.lstrip(" \t")  # as the parser stores a header value
+    try:
+        expected = str(policy.default.header_fetch_parse(name, value))
+    except Exception as exc:
+        with pytest.raises(type(exc)):
+            _decoded(name, value)
+        return
+    got = _decoded(name, value)
+    if name in ("Content-Type", "Content-Disposition"):
+        # parameters may stay unquoted or repeated; they read the same
+        assert _mime_reading(got) == _mime_reading(expected)
+    else:
+        assert got == expected
+
+
+_HEADER_SHAPED = st.builds(
+    lambda headers, body: b"".join(n + b": " + v + b"\n" for n, v in headers)
+    + b"\n" + body,
+    st.lists(st.tuples(st.sampled_from([n.encode() for n in _HEADER_NAMES]),
+                       st.binary(max_size=60)), max_size=8),
+    st.binary(max_size=80))
+
+
+@given(st.one_of(st.binary(max_size=300), _HEADER_SHAPED))
+def test_parse_eml_is_total(raw):
+    rec = parse_eml(raw, trusted_mx=TRUSTED)
+    assert rec.parse_status in (PARSE_OK, PARSE_UNPARSEABLE)
+    assert EmailRecord.from_dict(rec.to_dict()) == rec

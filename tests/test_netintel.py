@@ -82,6 +82,29 @@ def test_longest_prefix_wins(tmp_path):
     assert len(table) == 3
 
 
+def test_lengths_added_after_a_lookup_still_win():
+    # shortest first, with lookups in between, so the table has to keep
+    # its longest-first length order as new lengths arrive
+    table = AsnTable()
+    rng = np.random.default_rng(3)
+    probes = [str(ipaddress.IPv4Address(int(v)))
+              for v in rng.integers(0, 2**32, 100)]
+    networks = []
+    for plen in (0, 4, 9, 12, 16, 20, 24, 28, 32):
+        for value in rng.integers(0, 2**32, 8):
+            net = ipaddress.ip_network((int(value), plen), strict=False)
+            networks.append(net)
+            table.add_network(net, AsnRecord(asn=plen, organization=str(net),
+                                             prefix=str(net)))
+        for ip in probes + [str(net.network_address) for net in networks]:
+            covering = [n for n in networks
+                        if ipaddress.ip_address(ip) in n]
+            best = max(covering, key=lambda n: n.prefixlen, default=None)
+            found = table.lookup(ip)
+            assert (found.prefix if found else None) == (
+                str(best) if best else None)
+
+
 @pytest.mark.parametrize("ip,expected", [
     ("10.1.2.3", True), ("192.168.0.1", True), ("127.0.0.1", True),
     ("169.254.1.1", True), ("fe80::1", True), ("::1", True),

@@ -200,6 +200,16 @@ def test_invalid_k_range_is_config_error(synth_corpus, tmp_path):
     assert result.exit_code == 2
 
 
+def test_unknown_timezone_is_config_error(synth_corpus, tmp_path):
+    result = CliRunner().invoke(
+        main, ["ingest", *cli_args(synth_corpus, tmp_path),
+               "--set", "audit_timezone=Mars/Olympus"])
+    assert result.exit_code == 2
+    assert "config error" in result.output
+    assert "audit_timezone" in result.output
+    assert isinstance(result.exception, SystemExit)  # no uncaught traceback
+
+
 def test_missing_corpus_dir_is_input_error(synth_corpus, tmp_path):
     result = CliRunner().invoke(
         main, ["ingest", "--corpus-dir", str(tmp_path / "nope"),
