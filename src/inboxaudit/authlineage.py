@@ -236,16 +236,15 @@ def asn_is_own_org(asn_organization: str | None, service_name: str,
     return any(sub in org for sub in org_map.org_substrings_for(service_name))
 
 
-def classify_provenance(record, registry=None, asn=None,
+def classify_provenance(record, *, asn=None,
                         marketing_flag: bool = False,
                         org_map: ServiceOrgMap | None = None,
                         cloud_flag: bool = False,
                         content_label: str | None = None) -> ProvenanceLabel:
     """Provenance + spam label for one record.
 
-    The registry binding already lives on the record (record.alias); the
-    registry parameter is accepted for interface symmetry. Content class
-    only influences the sos/not_spam split, never uuss.
+    The registry binding already lives on the record (record.alias).
+    Content class only influences the sos/not_spam split, never uuss.
     """
     verdict = AuthVerdict(spf=record.spf, dkim=record.dkim)
     alias = record.alias

@@ -104,12 +104,13 @@ def _stage_command(name: str, stage, help_text: str):
     return cmd
 
 
-_stage_command("ingest", run_ingest,
+_stage_command("ingest", lambda cfg: run_ingest(cfg)[0],
                "Parse the EML corpus into corpus.jsonl plus a report.")
-_stage_command("classify", run_classify,
+_stage_command("classify", lambda cfg: run_classify(cfg)[0],
                "Classify parsed mail content (rules or external adapter).")
-_stage_command("analyze", run_analyze,
-               "Emit the analysis artifact set from an ingested corpus.")
+_stage_command("analyze", lambda cfg: run_analyze(cfg)[0],
+               "Emit the analysis artifact set from corpus.jsonl and "
+               "classifications.jsonl.")
 _stage_command("report", run_report,
                "Run ingest, classify and analyze, then write report.json.")
 

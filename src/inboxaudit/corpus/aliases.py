@@ -127,9 +127,6 @@ class AliasRegistry:
     def match(self, local_part: str) -> AliasEntry | None:
         return self._by_local.get(local_part.lower())
 
-    def service_names(self) -> list[str]:
-        return sorted({e.service_name for e in self.entries})
-
 
 _REQUIRED_COLUMNS = ("local_part", "index", "service_name", "service_kind",
                      "registration_date")

@@ -1,27 +1,33 @@
 """Network intelligence: offline IP-to-ASN mapping and abuse enrichment.
 
 All data comes from point-in-time snapshot files (never live WHOIS/BGP),
-so runs are reproducible. Lookups are longest-prefix over per-family
-tables; private and reserved source IPs are excluded from profiles and
-flow outputs as internal hops.
+so runs are reproducible. Each snapshot row, CIDR or range, is one
+[first, last] address interval. Where rows overlap, the smallest
+containing row wins and, between rows of one size, the later row; for
+CIDR rows that is longest-prefix match. Published ip2asn range files are
+disjoint, so the rule only decides for hand-made snapshots. Private and
+reserved source IPs are excluded from profiles and flow outputs as
+internal hops.
 """
 
 from __future__ import annotations
 
 import csv
+import heapq
 import ipaddress
-import logging
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .corpus.eml import UNMATCHED
+from .authlineage import ProvenanceLabel
+from .corpus.eml import UNMATCHED, EmailRecord
 from .stats import pearson, spearman
 
-log = logging.getLogger(__name__)
-
 UNROUTED = "unrouted"
+
+_Address = ipaddress.IPv4Address | ipaddress.IPv6Address
 
 
 class SnapshotParseError(ValueError):
@@ -32,54 +38,73 @@ class SnapshotParseError(ValueError):
 class AsnRecord:
     asn: int
     organization: str
-    prefix: str
+    prefix: str          # the row's CIDR, or "first-last" for a range row
 
     @property
     def label(self) -> str:
         return f"AS{self.asn} {self.organization}"
 
 
+def _flatten(rows: list[tuple[int, int, AsnRecord]]
+             ) -> list[tuple[int, int, AsnRecord]]:
+    """Sorted, disjoint (first, last, record) intervals covering ``rows``:
+    a sweep over the row boundaries. Rows enter a heap keyed (size, -row
+    index) at their first address, so its top is the winner at each point."""
+    points = sorted({p for first, last, _ in rows for p in (first, last + 1)})
+    pending = sorted(((first, last - first, -i, last, record)
+                      for i, (first, last, record) in enumerate(rows)),
+                     reverse=True)
+    open_rows, flat = [], []
+    for lo, hi in zip(points, points[1:]):
+        while pending and pending[-1][0] <= lo:
+            heapq.heappush(open_rows, pending.pop()[1:])
+        while open_rows and open_rows[0][2] < lo:
+            heapq.heappop(open_rows)
+        if open_rows:
+            flat.append((lo, hi - 1, open_rows[0][3]))
+    return flat
+
+
 class AsnTable:
-    """Longest-prefix lookup table over CIDR prefixes, both address families."""
+    """ASN lookup over (first address, last address, record) rows, flattened
+    at build time into sorted, disjoint intervals per family (the module
+    docstring says which row wins an overlap), so a lookup is one bisect."""
 
-    def __init__(self):
-        # family → prefix_len → network_int → AsnRecord
-        self._tables: dict[int, dict[int, dict[int, AsnRecord]]] = {4: {}, 6: {}}
-        # family → the prefix lengths present, longest first
-        self._lengths: dict[int, list[int]] = {4: [], 6: []}
-
-    def add_network(self, network: ipaddress._BaseNetwork, record: AsnRecord) -> None:
-        family = network.version
-        nets = self._tables[family].get(network.prefixlen)
-        if nets is None:
-            nets = self._tables[family][network.prefixlen] = {}
-            self._lengths[family] = sorted(self._tables[family], reverse=True)
-        nets[int(network.network_address)] = record
+    def __init__(self, rows: Sequence[tuple[_Address, _Address, AsnRecord]] = ()):
+        self._rows = len(rows)
+        self._flat = {family: _flatten([(int(first), int(last), record)
+                                        for first, last, record in rows
+                                        if first.version == family])
+                      for family in (4, 6)}
+        self._starts = {family: [first for first, _, _ in flat]
+                        for family, flat in self._flat.items()}
 
     def __len__(self) -> int:
-        return sum(len(nets) for fam in self._tables.values()
-                   for nets in fam.values())
+        return self._rows
 
-    def lookup(self, ip: str | ipaddress.IPv4Address | ipaddress.IPv6Address
-               ) -> AsnRecord | None:
+    def lookup(self, ip: str | _Address) -> AsnRecord | None:
         try:
             addr = ipaddress.ip_address(ip)
         except ValueError:
             return None
-        table = self._tables[addr.version]
-        bits = addr.max_prefixlen
         value = int(addr)
-        for plen in self._lengths[addr.version]:
-            shifted = value >> (bits - plen) << (bits - plen) if plen else 0
-            record = table[plen].get(shifted)
-            if record is not None:
+        i = bisect_right(self._starts[addr.version], value) - 1
+        if i >= 0:
+            _, last, record = self._flat[addr.version][i]
+            if value <= last:
                 return record
         return None
 
 
-def _split_row(line: str) -> list[str]:
-    delim = "\t" if "\t" in line else ","
-    return [cell.strip() for cell in next(csv.reader([line], delimiter=delim))]
+def _snapshot_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
+    """(line number, cells) of each TSV or CSV row but blank and '#' lines."""
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(),
+                                 start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            delim = "\t" if "\t" in line else ","
+            yield lineno, [cell.strip() for cell
+                           in next(csv.reader([line], delimiter=delim))]
 
 
 def _parse_asn(cell: str) -> int:
@@ -90,40 +115,35 @@ def _parse_asn(cell: str) -> int:
 
 
 def load_ip2asn(path: str | Path) -> AsnTable:
-    """Load an ASN snapshot: rows of CIDR or (range_start, range_end) + asn + org.
-
-    Overlapping entries resolve most-specific-first at lookup time.
-    """
-    table = AsnTable()
+    """Load an ASN snapshot: rows of CIDR or (range_start, range_end) + asn + org."""
+    rows: list[tuple[_Address, _Address, AsnRecord]] = []
     path = Path(path)
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(),
-                                 start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        cells = _split_row(line)
+    for lineno, cells in _snapshot_rows(path):
         try:
             if "/" in cells[0]:
                 if len(cells) < 3:
                     raise ValueError("expected cidr, asn, organization")
                 network = ipaddress.ip_network(cells[0], strict=False)
-                record = AsnRecord(asn=_parse_asn(cells[1]),
-                                   organization=",".join(cells[2:]).strip(),
-                                   prefix=str(network))
-                table.add_network(network, record)
+                first, last = network.network_address, network.broadcast_address
+                prefix = str(network)
+                asn, org = cells[1], cells[2:]
             else:
                 if len(cells) < 4:
                     raise ValueError("expected range_start, range_end, asn, org")
-                start = ipaddress.ip_address(cells[0])
-                end = ipaddress.ip_address(cells[1])
-                asn = _parse_asn(cells[2])
-                org = ",".join(cells[3:]).strip()
-                for network in ipaddress.summarize_address_range(start, end):
-                    table.add_network(network, AsnRecord(
-                        asn=asn, organization=org, prefix=str(network)))
+                first = ipaddress.ip_address(cells[0])
+                last = ipaddress.ip_address(cells[1])
+                if first.version != last.version:
+                    raise ValueError("range start and end differ in family")
+                if first > last:
+                    raise ValueError("range start is after range end")
+                prefix = f"{first}-{last}"
+                asn, org = cells[2], cells[3:]
+            rows.append((first, last, AsnRecord(
+                asn=_parse_asn(asn), organization=",".join(org).strip(),
+                prefix=prefix)))
         except ValueError as exc:
             raise SnapshotParseError(f"{path}: row {lineno}: {exc}") from exc
-    return table
+    return AsnTable(rows)
 
 
 def is_internal_hop(ip: str) -> bool:
@@ -162,12 +182,7 @@ def load_abuse_reports(path: str | Path) -> dict[str, int]:
     """Abuse snapshot: rows of (ip, total_reports); duplicate IPs are summed."""
     reports: dict[str, int] = {}
     path = Path(path)
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(),
-                                 start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        cells = _split_row(line)
+    for lineno, cells in _snapshot_rows(path):
         try:
             if len(cells) < 2:
                 raise ValueError("expected ip, total_reports")
@@ -190,18 +205,15 @@ class SenderProfile:
     spam_reports_total: int = 0
     emails_total: int = 0
     root_domain: str = ""          # most common from-domain, for flow labels
-    internal_hop_ips: set[str] = field(default_factory=set)
 
-    def to_dict(self) -> dict:
-        return {
-            "service_name": self.service_name,
-            "ips": sorted(self.ips),
-            "asns": sorted(f"AS{a.asn} {a.organization}" for a in self.asns),
-            "uses_marketing_provider": self.uses_marketing_provider,
-            "spam_reports_total": self.spam_reports_total,
-            "emails_total": self.emails_total,
-            "root_domain": self.root_domain,
-        }
+
+class MessageRow(NamedTuple):
+    """The network and provenance facts about one parsed message."""
+    record: EmailRecord
+    ip: str | None              # the sender IP when globally routable
+    asn: AsnRecord | None
+    marketing: bool             # the ASN is a listed marketing provider
+    provenance: ProvenanceLabel
 
 
 @dataclass
@@ -210,56 +222,42 @@ class FlowEdges:
     treemap: dict[str, dict[str, int]]     # ASN label → {root domain: reports}
 
 
-def build_sender_profiles(store, table: AsnTable,
-                          abuse: dict[str, int],
-                          provider_list: list[str]
+def build_sender_profiles(rows: list[MessageRow], abuse: dict[str, int]
                           ) -> tuple[list[SenderProfile], FlowEdges]:
     """Aggregate per-service network behavior plus Sankey/treemap edges.
 
     Profiles partition the matched corpus: unmatched records stay out,
     so Σ emails_total + unmatched count = corpus total.
     """
+    by_service: dict[str, list[MessageRow]] = {}
+    for row in rows:
+        if row.record.service_name != UNMATCHED:
+            by_service.setdefault(row.record.service_name, []).append(row)
     profiles: list[SenderProfile] = []
-    sankey_weights: dict[tuple[str, str], int] = {}
+    sankey_weights: Counter[tuple[str, str]] = Counter()
     treemap: dict[str, dict[str, int]] = {}
-
-    for service in store.services():
-        records = store.service_records(service)
-        profile = SenderProfile(service_name=service, emails_total=len(records))
-        domain_counts = Counter(r.from_root_domain for r in records
-                                if r.from_root_domain)
+    for service, service_rows in sorted(by_service.items()):
+        profile = SenderProfile(service_name=service,
+                                emails_total=len(service_rows))
+        domain_counts = Counter(r.record.from_root_domain for r in service_rows
+                                if r.record.from_root_domain)
         if domain_counts:
             # ties broken alphabetically for determinism
             profile.root_domain = min(domain_counts,
                                       key=lambda d: (-domain_counts[d], d))
-        asn_mail_counts: dict[AsnRecord, int] = {}
-        for rec in records:
-            ip = rec.sender_ip
-            if not ip or ip == "UNKNOWN":
-                continue
-            if is_internal_hop(ip):
-                profile.internal_hop_ips.add(ip)
-                continue
-            profile.ips.add(ip)
-            record = table.lookup(ip)
-            if record is not None:
-                profile.asns.add(record)
-                asn_mail_counts[record] = asn_mail_counts.get(record, 0) + 1
-        profile.uses_marketing_provider = any(
-            flag_marketing_asn(a, provider_list) for a in profile.asns)
+        asn_of_ip = {r.ip: r.asn for r in service_rows if r.ip is not None}
+        sankey_weights.update((service, r.asn.label) for r in service_rows
+                              if r.asn is not None)
+        profile.ips = set(asn_of_ip)
+        profile.asns = {a for a in asn_of_ip.values() if a is not None}
+        profile.uses_marketing_provider = any(r.marketing for r in service_rows)
         profile.spam_reports_total = sum(abuse.get(ip, 0) for ip in profile.ips)
-        for asn_record, weight in asn_mail_counts.items():
-            key = (service, asn_record.label)
-            sankey_weights[key] = sankey_weights.get(key, 0) + weight
+        domain = profile.root_domain or profile.service_name
         for ip in sorted(profile.ips):
-            count = abuse.get(ip, 0)
-            if count <= 0:
-                continue
-            record = table.lookup(ip)
-            label = record.label if record is not None else UNROUTED
-            domain = profile.root_domain or profile.service_name
-            treemap.setdefault(label, {})
-            treemap[label][domain] = treemap[label].get(domain, 0) + count
+            if abuse.get(ip, 0) > 0:
+                record = asn_of_ip[ip]
+                cell = treemap.setdefault(record.label if record else UNROUTED, {})
+                cell[domain] = cell.get(domain, 0) + abuse[ip]
         profiles.append(profile)
 
     sankey = [{"source": s, "target": t, "weight": w}

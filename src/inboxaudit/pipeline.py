@@ -1,7 +1,9 @@
 """Pipeline stages behind the CLI: ingest, classify, analyze, report.
 
-Each stage reads its inputs from disk and leaves artifacts in the
-configured output directory, so stages can run in separate processes.
+Each stage leaves artifacts in the configured output directory and
+returns (summary, product). Run alone, a stage reads its upstream
+products from those artifacts, so stages can run in separate processes;
+``run_report`` hands each product to the next stage in memory instead.
 All numeric output goes through repr() of Python floats, which keeps
 reruns byte-identical for a fixed seed.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
@@ -26,10 +29,10 @@ from .config import AuditConfig
 from .corpus.aliases import AliasEntry, load_alias_registry
 from .corpus.store import (CorpusStore, ingest_corpus, read_corpus_jsonl,
                            write_corpus_jsonl)
-from .netintel import (AsnTable, asn_volume_concentration,
+from .netintel import (AsnTable, MessageRow, asn_volume_concentration,
                        build_sender_profiles, flag_marketing_asn,
-                       ip_hopping_correlation, load_abuse_reports,
-                       load_ip2asn, load_provider_list, lookup_asn)
+                       ip_hopping_correlation, is_internal_hop,
+                       load_abuse_reports, load_ip2asn, load_provider_list)
 from .stats.core import (ContingencyTable, chi_squared_independence,
                          descriptive, kruskal_wallis, one_way_anova, pareto)
 from .temporal import (build_daily_series, decompose_additive,
@@ -106,7 +109,7 @@ def _load_sector_map(path: str | None) -> dict[str, str]:
     return sectors
 
 
-def run_ingest(cfg: AuditConfig) -> dict:
+def run_ingest(cfg: AuditConfig) -> tuple[dict, CorpusStore]:
     """Parse the EML directory into corpus.jsonl plus an ingest report."""
     out = _out_dir(cfg)
     registry = load_alias_registry(cfg.registry_path)
@@ -118,20 +121,22 @@ def run_ingest(cfg: AuditConfig) -> dict:
     _write_json(out / INGEST_REPORT_FILE, payload)
     log.info("ingested %d files: %d ok, %d unparseable, %d unmatched",
              report.files, report.ok, report.unparseable, report.unmatched)
-    return payload
+    return payload, store
 
 
-def _require_corpus(cfg: AuditConfig) -> CorpusStore:
-    path = _out_dir(cfg) / CORPUS_FILE
+def _upstream(cfg: AuditConfig, name: str, what: str, stage: str) -> Path:
+    path = _out_dir(cfg) / name
     if not path.is_file():
-        raise OSError(f"corpus artifact missing: {path} (run ingest first)")
-    return read_corpus_jsonl(path)
+        raise OSError(f"{what} artifact missing: {path} (run {stage} first)")
+    return path
 
 
-def run_classify(cfg: AuditConfig) -> dict:
+def run_classify(cfg: AuditConfig, store: CorpusStore | None = None
+                 ) -> tuple[dict, dict[str, Classification]]:
     """Classify content of every parsed record; write JSONL + summary."""
     out = _out_dir(cfg)
-    store = _require_corpus(cfg)
+    if store is None:
+        store = read_corpus_jsonl(_upstream(cfg, CORPUS_FILE, "corpus", "ingest"))
     table = _load_rule_table(cfg)
     results = classify_records(store.records, cfg.classifier,
                                cfg=cfg.adapter, table=table)
@@ -158,33 +163,28 @@ def run_classify(cfg: AuditConfig) -> dict:
         "unclassified": len(store.records) - classified,
     }
     _write_json(out / CLASSIFY_SUMMARY_FILE, summary)
-    return summary
+    return summary, results
 
 
-def _load_classifications(cfg: AuditConfig, store: CorpusStore
-                          ) -> dict[str, Classification]:
-    """Reuse the classify artifact when present, else classify in-memory."""
-    path = _out_dir(cfg) / CLASSIFICATIONS_FILE
-    if path.is_file():
-        results: dict[str, Classification] = {}
-        with path.open(encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    entry = json.loads(line)
-                    results[entry["message_id"]] = Classification(
-                        label=entry["label"], confidence=entry["confidence"],
-                        rationale=entry["rationale"], source=entry["source"],
-                        retries=entry.get("retries", 0),
-                        flags=tuple(entry.get("flags", ())))
-                except (KeyError, ValueError) as exc:
-                    raise ValueError(
-                        f"{path}:{lineno}: bad classification line: {exc}"
-                    ) from exc
-        return results
-    table = _load_rule_table(cfg)
-    return classify_records(store.records, "rules", table=table)
+def _load_classifications(cfg: AuditConfig) -> dict[str, Classification]:
+    path = _upstream(cfg, CLASSIFICATIONS_FILE, "classifications", "classify")
+    results: dict[str, Classification] = {}
+    with path.open(encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                entry = json.loads(line)
+                results[entry["message_id"]] = Classification(
+                    label=entry["label"], confidence=entry["confidence"],
+                    rationale=entry["rationale"], source=entry["source"],
+                    retries=entry.get("retries", 0),
+                    flags=tuple(entry.get("flags", ())))
+            except (KeyError, ValueError) as exc:
+                raise ValueError(
+                    f"{path}:{lineno}: bad classification line: {exc}"
+                ) from exc
+    return results
 
 
 def _resolve_sector(service: str, records, sector_map: dict[str, str]) -> str:
@@ -198,29 +198,30 @@ def _resolve_sector(service: str, records, sector_map: dict[str, str]) -> str:
     return "Unknown"
 
 
-def _provenance_summary(store: CorpusStore, asn_table: AsnTable,
-                        providers: list[str], clouds: list[str],
-                        org_map: ServiceOrgMap | None,
-                        classifications: dict[str, Classification]) -> dict:
-    provenance_counts: dict[str, int] = {}
-    spam_counts: dict[str, int] = {}
-    flag_counts: dict[str, int] = {}
+def enrich(store: CorpusStore, asn_table: AsnTable, providers: list[str],
+           clouds: list[str], org_map: ServiceOrgMap | None,
+           classifications: dict[str, Classification]) -> list[MessageRow]:
+    """One row per parsed message, in corpus order: the one place a
+    message's sender IP is looked up and its provenance decided."""
+    rows: list[MessageRow] = []
     for rec in store.ok_records():
-        asn = lookup_asn(rec.sender_ip, asn_table) if rec.sender_ip else None
+        ip = None if is_internal_hop(rec.sender_ip) else rec.sender_ip
+        asn = asn_table.lookup(ip) if ip else None
+        marketing = flag_marketing_asn(asn, providers)
         cls = classifications.get(rec.message_id)
         label = classify_provenance(
-            rec, asn=asn,
-            marketing_flag=flag_marketing_asn(asn, providers),
-            org_map=org_map,
+            rec, asn=asn, marketing_flag=marketing, org_map=org_map,
             cloud_flag=flag_marketing_asn(asn, clouds),
             content_label=cls.label if cls else None)
-        provenance_counts[label.provenance] = (
-            provenance_counts.get(label.provenance, 0) + 1)
-        spam_counts[label.spam] = spam_counts.get(label.spam, 0) + 1
-        for flag in label.flags:
-            flag_counts[flag] = flag_counts.get(flag, 0) + 1
-    return {"provenance": provenance_counts, "spam": spam_counts,
-            "flags": flag_counts}
+        rows.append(MessageRow(rec, ip, asn, marketing, label))
+    return rows
+
+
+def _provenance_summary(rows: list[MessageRow]) -> dict:
+    labels = [row.provenance for row in rows]
+    return {"provenance": dict(Counter(lab.provenance for lab in labels)),
+            "spam": dict(Counter(lab.spam for lab in labels)),
+            "flags": dict(Counter(f for lab in labels for f in lab.flags))}
 
 
 def _sector_stats(store: CorpusStore, sector_map: dict[str, str],
@@ -288,11 +289,15 @@ def _sector_stats(store: CorpusStore, sector_map: dict[str, str],
     return stats
 
 
-def run_analyze(cfg: AuditConfig) -> dict:
-    """Produce the ten analysis artifacts from the ingested corpus."""
+def run_analyze(cfg: AuditConfig, store: CorpusStore | None = None,
+                classifications: dict[str, Classification] | None = None
+                ) -> tuple[dict, dict]:
+    """Produce the ten analysis artifacts; returns (summary, sector stats)."""
     out = _out_dir(cfg)
-    store = _require_corpus(cfg)
-    classifications = _load_classifications(cfg, store)
+    if store is None:
+        store = read_corpus_jsonl(_upstream(cfg, CORPUS_FILE, "corpus", "ingest"))
+    if classifications is None:
+        classifications = _load_classifications(cfg)
 
     asn_table = load_ip2asn(cfg.ip2asn_path) if cfg.ip2asn_path else AsnTable()
     abuse = load_abuse_reports(cfg.abuse_path) if cfg.abuse_path else {}
@@ -301,7 +306,8 @@ def run_analyze(cfg: AuditConfig) -> dict:
     org_map = ServiceOrgMap.load(cfg.org_map_path) if cfg.org_map_path else None
     sector_map = _load_sector_map(cfg.sector_map_path)
 
-    profiles, flows = build_sender_profiles(store, asn_table, abuse, providers)
+    rows = enrich(store, asn_table, providers, clouds, org_map, classifications)
+    profiles, flows = build_sender_profiles(rows, abuse)
 
     # pareto.csv over root domains of parsed mail
     domain_counts = [(domain, float(len(records)))
@@ -378,8 +384,7 @@ def run_analyze(cfg: AuditConfig) -> dict:
 
     stats = _sector_stats(store, sector_map, classifications, pareto_table,
                           profiles, flows, cfg)
-    stats["provenance_summary"] = _provenance_summary(
-        store, asn_table, providers, clouds, org_map, classifications)
+    stats["provenance_summary"] = _provenance_summary(rows)
     _write_json(out / "sector_stats.json", stats)
 
     return {
@@ -388,16 +393,15 @@ def run_analyze(cfg: AuditConfig) -> dict:
         "selected_k": selection.k,
         "silhouette": selection.silhouette,
         "warnings": warnings,
-    }
+    }, stats
 
 
 def run_report(cfg: AuditConfig) -> dict:
     """Full chain: ingest, classify, analyze, plus a combined report."""
     out = _out_dir(cfg)
-    ingest = run_ingest(cfg)
-    classify = run_classify(cfg)
-    analyze = run_analyze(cfg)
-    stats = json.loads((out / "sector_stats.json").read_text(encoding="utf-8"))
+    ingest, store = run_ingest(cfg)
+    classify, classifications = run_classify(cfg, store)
+    analyze, stats = run_analyze(cfg, store, classifications)
     report = {
         "ingest": ingest,
         "classification": classify,

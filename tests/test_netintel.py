@@ -7,14 +7,14 @@ import pytest
 
 from inboxaudit.corpus.aliases import load_alias_registry
 from inboxaudit.corpus.store import ingest_corpus
-from inboxaudit.netintel import (AsnRecord, AsnTable, SnapshotParseError,
+from inboxaudit.netintel import (AsnRecord, SnapshotParseError,
                                  asn_volume_concentration,
                                  build_sender_profiles, flag_marketing_asn,
                                  ip_hopping_correlation, is_internal_hop,
                                  load_abuse_reports, load_ip2asn,
                                  load_provider_list, lookup_asn)
 from inboxaudit.netintel import SenderProfile, UNROUTED
-from inboxaudit.pipeline import _bundled
+from inboxaudit.pipeline import _bundled, enrich
 
 
 def write_snapshot(tmp_path, text, name="ip2asn.tsv"):
@@ -63,6 +63,8 @@ def test_org_names_keep_embedded_commas(tmp_path):
     "167.89.0.0/17\tAS11377\n",            # missing org
     "not-an-ip\t1.2.3.4\t1\torg\n",        # bad range start
     "1.2.3.0/24\tASX\torg\n",              # unparseable asn
+    "1.2.3.0\t2001:db8::1\t64500\tX\n",    # range of mixed families
+    "1.2.3.9\t1.2.3.0\t64500\tX\n",        # reversed range
 ])
 def test_load_rejects_bad_rows_with_lineno(tmp_path, bad):
     path = write_snapshot(tmp_path, "# header\n" + bad)
@@ -82,27 +84,77 @@ def test_longest_prefix_wins(tmp_path):
     assert len(table) == 3
 
 
-def test_lengths_added_after_a_lookup_still_win():
-    # shortest first, with lookups in between, so the table has to keep
-    # its longest-first length order as new lengths arrive
-    table = AsnTable()
+def test_nested_and_duplicate_cidr_rows_resolve_longest_prefix(tmp_path):
+    # nested networks at many lengths plus duplicates, in random order:
+    # the longest covering prefix wins, the later row between duplicates
     rng = np.random.default_rng(3)
-    probes = [str(ipaddress.IPv4Address(int(v)))
-              for v in rng.integers(0, 2**32, 100)]
     networks = []
-    for plen in (0, 4, 9, 12, 16, 20, 24, 28, 32):
-        for value in rng.integers(0, 2**32, 8):
-            net = ipaddress.ip_network((int(value), plen), strict=False)
-            networks.append(net)
-            table.add_network(net, AsnRecord(asn=plen, organization=str(net),
-                                             prefix=str(net)))
-        for ip in probes + [str(net.network_address) for net in networks]:
-            covering = [n for n in networks
-                        if ipaddress.ip_address(ip) in n]
-            best = max(covering, key=lambda n: n.prefixlen, default=None)
-            found = table.lookup(ip)
-            assert (found.prefix if found else None) == (
-                str(best) if best else None)
+    for _ in range(40):
+        plen = int(rng.choice([0, 4, 9, 12, 16, 20, 24, 28, 32]))
+        networks.append(ipaddress.ip_network(
+            (int(rng.integers(0, 2**32)), plen), strict=False))
+    for _ in range(60):
+        outer = networks[int(rng.integers(len(networks)))]
+        if rng.random() < 0.3 or outer.prefixlen == 32:
+            networks.append(outer)                       # a duplicate row
+        else:
+            plen = int(rng.integers(outer.prefixlen + 1, 33))
+            offset = int(rng.integers(0, outer.num_addresses))
+            networks.append(ipaddress.ip_network(
+                (int(outer.network_address) + offset, plen), strict=False))
+    networks = [networks[i] for i in rng.permutation(len(networks))]
+    path = write_snapshot(tmp_path, "".join(
+        f"{net}\t{row}\tROW{row}\n" for row, net in enumerate(networks)))
+    table = load_ip2asn(path)
+    assert len(table) == len(networks)
+
+    probes = [int(v) for v in rng.integers(0, 2**32, 200)]
+    for net in networks:
+        first, last = int(net.network_address), int(net.broadcast_address)
+        probes += [first, last, max(first - 1, 0), min(last + 1, 2**32 - 1)]
+    for value in probes:
+        ip = ipaddress.IPv4Address(value)
+        covering = [(net.prefixlen, row) for row, net in enumerate(networks)
+                    if ip in net]
+        found = table.lookup(str(ip))
+        assert (found.asn if found else None) == (
+            max(covering)[1] if covering else None), ip
+
+
+def test_overlapping_range_rows_resolve_smallest_row(tmp_path):
+    # every address of a small space against random overlapping ranges:
+    # the smallest containing row wins, the later row between equal sizes
+    rng = np.random.default_rng(5)
+    base = int(ipaddress.IPv4Address("10.0.0.0"))
+    ranges = []
+    for _ in range(30):
+        first = int(rng.integers(0, 64))
+        ranges.append((first, first + int(rng.integers(0, 16))))
+    ranges += ranges[:5]                                # duplicate rows
+    path = write_snapshot(tmp_path, "".join(
+        f"{ipaddress.IPv4Address(base + a)}\t{ipaddress.IPv4Address(base + b)}"
+        f"\t{row}\tROW{row}\n" for row, (a, b) in enumerate(ranges)))
+    table = load_ip2asn(path)
+    for offset in range(90):
+        covering = [(b - a, -row) for row, (a, b) in enumerate(ranges)
+                    if a <= offset <= b]
+        found = table.lookup(str(ipaddress.IPv4Address(base + offset)))
+        assert (found.asn if found else None) == (
+            -min(covering)[1] if covering else None), offset
+
+
+def test_overlapping_ranges_prefer_the_smaller_row(tmp_path):
+    # split into CIDR blocks, both rows would cover 8.0.0.0/25 with one
+    # block; as intervals the smaller row wins inside itself
+    path = write_snapshot(tmp_path, (
+        "8.0.0.0\t8.0.0.127\t1\tSMALL\n"
+        "8.0.0.0\t8.0.0.191\t2\tLARGE\n"))
+    table = load_ip2asn(path)
+    assert table.lookup("8.0.0.5").organization == "SMALL"
+    assert table.lookup("8.0.0.127").organization == "SMALL"
+    assert table.lookup("8.0.0.128").organization == "LARGE"
+    assert table.lookup("8.0.0.192") is None
+    assert len(table) == 2
 
 
 @pytest.mark.parametrize("ip,expected", [
@@ -162,7 +214,8 @@ def synth_profiles(synth_corpus):
     table = load_ip2asn(synth_corpus.ip2asn_path)
     abuse = load_abuse_reports(synth_corpus.abuse_path)
     providers = load_provider_list(_bundled("marketing_providers.txt"))
-    profiles, flows = build_sender_profiles(store, table, abuse, providers)
+    rows = enrich(store, table, providers, [], None, {})
+    profiles, flows = build_sender_profiles(rows, abuse)
     return store, report, profiles, flows, abuse
 
 

@@ -77,13 +77,19 @@ def test_staged_cli_produces_artifacts(staged):
     assert "selected_k:" in results["analyze"].output
 
 
-def test_cli_report_chains_everything(synth_corpus, tmp_path):
+def test_cli_report_chains_everything(synth_corpus, staged, tmp_path):
     result = CliRunner().invoke(main, ["report", *cli_args(synth_corpus, tmp_path)])
     assert result.exit_code == 0, result.output
     payload = json.loads((tmp_path / "report.json").read_text())
     validator_for("report.schema.json").validate(payload)
     assert payload["ingest"]["files"] == synth_corpus.expected["files"]
     assert set(payload["artifacts"]) >= set(ANALYZE_ARTIFACTS)
+    # report hands stage results over in memory; the staged commands read
+    # them back from disk: both must write the same bytes
+    staged_out, _ = staged
+    for name in payload["artifacts"]:
+        assert (tmp_path / name).read_bytes() == \
+            (staged_out / name).read_bytes(), name
 
 
 def test_ingest_report_matches_expectations(staged, synth_corpus):
@@ -226,6 +232,16 @@ def test_classify_before_ingest_is_input_error(synth_corpus, tmp_path):
     assert "corpus artifact missing" in result.output
 
 
+def test_analyze_before_classify_is_input_error(staged, synth_corpus,
+                                                tmp_path):
+    out, _ = staged
+    shutil.copy(out / "corpus.jsonl", tmp_path / "corpus.jsonl")
+    result = CliRunner().invoke(
+        main, ["analyze", *cli_args(synth_corpus, tmp_path)])
+    assert result.exit_code == 3
+    assert "classifications artifact missing" in result.output
+
+
 def test_corrupt_classifications_is_input_error(staged, synth_corpus, tmp_path):
     out, _ = staged
     shutil.copy(out / "corpus.jsonl", tmp_path / "corpus.jsonl")
@@ -264,6 +280,8 @@ def test_short_series_is_infeasible(tmp_path):
     runner = CliRunner()
     ingest = runner.invoke(main, ["ingest", *base])
     assert ingest.exit_code == 0, ingest.output
+    classify = runner.invoke(main, ["classify", *base])
+    assert classify.exit_code == 0, classify.output
     analyze = runner.invoke(main, ["analyze", *base])
     assert analyze.exit_code == 4
     assert "analysis infeasible" in analyze.output
