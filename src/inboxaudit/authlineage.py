@@ -15,6 +15,7 @@ import ipaddress
 import logging
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -35,6 +36,7 @@ _MECH_RE = re.compile(r"\b(spf|dkim)\s*=\s*([a-z0-9]+)", re.IGNORECASE)
 _DKIM_DOMAIN_RE = re.compile(r"\bheader\.d\s*=\s*([^\s;]+)", re.IGNORECASE)
 _SPF_FROM_RE = re.compile(r"\bsmtp\.mailfrom\s*=\s*([^\s;]+)", re.IGNORECASE)
 _BRACKET_IP_RE = re.compile(r"\[(?:ipv6:)?([0-9A-Fa-f:.]+)\]", re.IGNORECASE)
+_BY_RE = re.compile(r"\bby\b", re.IGNORECASE)
 
 # spf/dkim result token → verdict enum; unknown tokens mean "no usable verdict"
 _RESULT_MAP = {
@@ -141,6 +143,11 @@ def _first_ip_in(text: str) -> str | None:
     return None
 
 
+@lru_cache(maxsize=8)
+def _by_host_re(trusted_mx: str) -> re.Pattern:
+    return re.compile(r"\bby\s+" + re.escape(trusted_mx), re.IGNORECASE)
+
+
 def extract_sender_ip(headers: HeaderMap, trusted_mx: str = "") -> str:
     """Connecting IP from the topmost Received header written by the trusted host.
 
@@ -149,13 +156,12 @@ def extract_sender_ip(headers: HeaderMap, trusted_mx: str = "") -> str:
     UNKNOWN when no trusted hop carries a parsable bracketed literal.
     """
     received = _headers_named(headers, "Received")
-    by_token = re.compile(
-        r"\bby\s+" + re.escape(trusted_mx), re.IGNORECASE) if trusted_mx else None
+    by_token = _by_host_re(trusted_mx) if trusted_mx else None
     for value in received:
         flat = " ".join(value.split())
         if by_token is not None and not by_token.search(flat):
             continue
-        split = re.split(r"\bby\b", flat, maxsplit=1, flags=re.IGNORECASE)
+        split = _BY_RE.split(flat, maxsplit=1)
         from_clause = split[0] if len(split) > 1 else flat
         ip = _first_ip_in(from_clause)
         if ip is not None:

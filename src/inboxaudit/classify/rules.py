@@ -27,6 +27,10 @@ SOURCE_EXTERNAL = "external"
 _PRIORITY = (ALERT, PROMOTIONAL, CRM)
 
 _LINK_RE = re.compile(r"https?://", re.IGNORECASE)
+# The only non-ASCII code points re.IGNORECASE matches to an ASCII letter
+# are these three and the Kelvin sign, which lower() already maps to "k".
+# Mapped before lower(), since "İ".lower() is two code points.
+_FOLD = str.maketrans({"\u0130": "i", "\u0131": "i", "\u017f": "s"})
 # margin thresholds for confidence 2..5; any hit at all clears 1
 _CONFIDENCE_STEPS = (1.0, 3.0, 6.0, 10.0)
 
@@ -59,29 +63,51 @@ class Classification:
         }
 
 
+Rule = tuple[str, re.Pattern, float, str | None]
+
+
+def _gate(token: str) -> str | None:
+    """The token's first word, lowercased; None for a non-ASCII token."""
+    words = token.split()
+    if not words or not token.isascii():
+        return None
+    return words[0].lower()
+
+
+def _fold(text: str) -> str:
+    """Lowercased text in which every ASCII word a token regex matches
+    (case-insensitively) occurs verbatim, so gates are plain substrings."""
+    if not text.isascii():
+        text = text.translate(_FOLD)
+    return text.lower()
+
+
 @dataclass
 class RuleTable:
     version: int
     subject_multiplier: float
     link_bonus: float
-    # class → list of (display_token, compiled_regex, weight)
-    rules: dict[str, list[tuple[str, re.Pattern, float]]] = field(default_factory=dict)
+    # class → list of (display_token, compiled_regex, weight, gate); the
+    # regex can match only where its gate is a substring of the folded
+    # text (see _fold), and a rule with gate None always runs
+    rules: dict[str, list[Rule]] = field(default_factory=dict)
 
     @classmethod
     def from_json(cls, data: dict) -> "RuleTable":
-        rules: dict[str, list[tuple[str, re.Pattern, float]]] = {}
+        rules: dict[str, list[Rule]] = {}
         for label, spec in data["classes"].items():
             if label not in LABELS:
                 raise ValueError(f"rule table has unknown class {label!r}")
-            compiled: list[tuple[str, re.Pattern, float]] = []
+            compiled: list[Rule] = []
             for token, weight in spec.get("tokens", {}).items():
                 pattern = re.compile(
                     r"\b" + re.escape(token).replace(r"\ ", r"\s+") + r"\b",
                     re.IGNORECASE)
-                compiled.append((token, pattern, float(weight)))
+                compiled.append((token, pattern, float(weight), _gate(token)))
             for entry in spec.get("patterns", []):
                 pattern = re.compile(entry["pattern"], re.IGNORECASE)
-                compiled.append((entry["pattern"], pattern, float(entry["weight"])))
+                compiled.append(
+                    (entry["pattern"], pattern, float(entry["weight"]), None))
             rules[label] = compiled
         for label in LABELS:
             rules.setdefault(label, [])
@@ -104,11 +130,13 @@ def default_rule_table() -> RuleTable:
     return RuleTable.from_json(json.loads(text))
 
 
-def _score(label: str, subject: str, body: str,
+def _score(label: str, subject: str, body: str, folded: str,
            table: RuleTable) -> tuple[float, list[str]]:
     total = 0.0
     hits: list[str] = []
-    for token, pattern, weight in table.rules[label]:
+    for token, pattern, weight, gate in table.rules[label]:
+        if gate is not None and gate not in folded:
+            continue
         n_subject = len(pattern.findall(subject))
         n_body = len(pattern.findall(body))
         if n_subject or n_body:
@@ -128,10 +156,11 @@ def classify_text(subject: str, body: str,
                               rationale="no text content; weakest prior",
                               flags=("low_signal",))
 
+    folded = _fold(subject + "\n" + body)
     scores: dict[str, float] = {}
     hits: dict[str, list[str]] = {}
     for label in LABELS:
-        scores[label], hits[label] = _score(label, subject, body, table)
+        scores[label], hits[label] = _score(label, subject, body, folded, table)
     if scores[PROMOTIONAL] > 0 and _LINK_RE.search(body):
         scores[PROMOTIONAL] += table.link_bonus
         hits[PROMOTIONAL].append("call-to-action link")

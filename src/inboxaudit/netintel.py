@@ -107,11 +107,17 @@ def _snapshot_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
                            in next(csv.reader([line], delimiter=delim))]
 
 
+_MAX_ASN = 2**32 - 1  # ASNs are unsigned 32-bit numbers (RFC 6793)
+
+
 def _parse_asn(cell: str) -> int:
     cell = cell.strip().upper()
     if cell.startswith("AS"):
         cell = cell[2:]
-    return int(cell)
+    asn = int(cell)
+    if not 0 <= asn <= _MAX_ASN:
+        raise ValueError(f"asn {asn} outside 0-{_MAX_ASN}")
+    return asn
 
 
 def load_ip2asn(path: str | Path) -> AsnTable:

@@ -63,6 +63,8 @@ def test_org_names_keep_embedded_commas(tmp_path):
     "167.89.0.0/17\tAS11377\n",            # missing org
     "not-an-ip\t1.2.3.4\t1\torg\n",        # bad range start
     "1.2.3.0/24\tASX\torg\n",              # unparseable asn
+    "1.2.3.0/24\t-5\torg\n",               # negative asn
+    "1.2.3.0/24\t99999999999999999999\torg\n",  # asn beyond 32 bits
     "1.2.3.0\t2001:db8::1\t64500\tX\n",    # range of mixed families
     "1.2.3.9\t1.2.3.0\t64500\tX\n",        # reversed range
 ])
