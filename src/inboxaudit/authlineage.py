@@ -198,7 +198,9 @@ class ServiceOrgMap:
                         "accepted_asn_org_substrings"}
             if reader.fieldnames is None or not required <= set(reader.fieldnames):
                 raise ValueError(f"{path}: need columns {sorted(required)}")
-            for row in reader:
+            for rownum, row in enumerate(reader, start=2):
+                if None in row.values():
+                    raise ValueError(f"{path}: row {rownum}: short row")
                 name = row["service_name"].strip()
                 domains[name] = {d.strip().lower()
                                  for d in row["accepted_domains"].split(";")

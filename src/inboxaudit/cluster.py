@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .classify.rules import LABELS
+
 log = logging.getLogger(__name__)
 
 FEATURE_NAMES = (
@@ -38,41 +40,40 @@ class FeatureMatrix:
     no_content_companies: list[str] = field(default_factory=list)
 
 
-def build_features(store, profiles, classifications: dict) -> FeatureMatrix:
-    """One 36-dim row per company, name-sorted for determinism."""
-    companies = store.services()
+def build_features(by_service: dict[str, list], profiles) -> FeatureMatrix:
+    """One 36-dim row per company, in the grouping's (name-sorted) order.
+
+    The clock comes from each company's message rows; the marketing flag,
+    content mix and total from its profile, in the same order.
+    """
+    companies = list(by_service)
     if len(companies) < 2:
         raise InsufficientCompaniesError(
             f"need >= 2 companies with mail, have {len(companies)}")
-    marketing = {p.service_name: p.uses_marketing_provider for p in profiles}
     rows = []
     flagged: list[str] = []
-    for company in companies:
-        records = store.service_records(company)
+    for (company, service_rows), profile in zip(by_service.items(), profiles,
+                                                strict=True):
         hourly = np.zeros(24)
         weekly = np.zeros(7)
-        label_counts = {"promotional": 0, "crm": 0, "alert": 0}
-        for rec in records:
-            if rec.received_local is not None:
-                hourly[rec.received_local.hour] += 1
-                weekly[rec.received_local.weekday()] += 1
-            cls = classifications.get(rec.message_id)
-            if cls is not None:
-                label_counts[cls.label] += 1
-        classified = sum(label_counts.values())
-        if classified > 0:
-            mix = np.array([label_counts["promotional"], label_counts["crm"],
-                            label_counts["alert"]], dtype=float) / classified
+        for row in service_rows:
+            stamp = row.record.received_local
+            if stamp is not None:
+                hourly[stamp.hour] += 1
+                weekly[stamp.weekday()] += 1
+        counts = np.array([profile.content_counts[label] for label in LABELS],
+                          dtype=float)
+        if counts.sum() > 0:
+            mix = counts / counts.sum()
         else:
             mix = np.zeros(3)
             flagged.append(company)
-        row = np.concatenate([
+        rows.append(np.concatenate([
             hourly, weekly,
-            [1.0 if marketing.get(company) else 0.0],
+            [1.0 if profile.uses_marketing_provider else 0.0],
             mix,
-            [float(len(records))],
-        ])
-        rows.append(row)
+            [float(profile.emails_total)],
+        ]))
     return FeatureMatrix(companies=companies, matrix=np.array(rows),
                          no_content_companies=flagged)
 

@@ -39,29 +39,13 @@ class IngestReport:
 @dataclass
 class CorpusStore:
     records: list[EmailRecord] = field(default_factory=list)
-    by_service: dict[str, list[EmailRecord]] = field(default_factory=dict)
-    by_root_domain: dict[str, list[EmailRecord]] = field(default_factory=dict)
 
     @classmethod
     def from_records(cls, records: Iterable[EmailRecord]) -> "CorpusStore":
-        ordered = sorted(records, key=_sort_key)
-        by_service: dict[str, list[EmailRecord]] = {}
-        by_root: dict[str, list[EmailRecord]] = {}
-        for rec in ordered:
-            by_service.setdefault(rec.service_name, []).append(rec)
-            if rec.from_root_domain:
-                by_root.setdefault(rec.from_root_domain, []).append(rec)
-        return cls(records=ordered, by_service=by_service, by_root_domain=by_root)
+        return cls(records=sorted(records, key=_sort_key))
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def service_records(self, service_name: str) -> list[EmailRecord]:
-        return self.by_service.get(service_name, [])
-
-    def services(self) -> list[str]:
-        """Service names with at least one email, UNMATCHED excluded, sorted."""
-        return sorted(name for name in self.by_service if name != UNMATCHED)
 
     def ok_records(self) -> list[EmailRecord]:
         return [r for r in self.records if r.parse_status == PARSE_OK]
@@ -130,6 +114,6 @@ def read_corpus_jsonl(path: str | Path) -> CorpusStore:
                 continue
             try:
                 records.append(EmailRecord.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad corpus line: {exc}") from exc
     return CorpusStore.from_records(records)

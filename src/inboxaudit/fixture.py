@@ -1,6 +1,9 @@
 """Bundled reference table: 109 root domains with sector, cluster, and
 per-type email counts. Drives fixture-check and the soft cluster-membership
 validation; nothing here ever mutates the shipped file.
+
+The table's rows and analyze's per-company rows share one shape,
+``CompanyRow``, and one sector contingency and grouping code path.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .classify.rules import LABELS
 from .cluster import kmeans
 from .stats import (
     ContingencyTable,
@@ -24,12 +28,12 @@ EXPECTED_ROWS = 109
 # Messages in the paper's corpus. The bundled rows sum to 4,842, so
 # shares of the corpus are taken over this count, not the table's sum.
 PAPER_MESSAGE_COUNT = 4847
-CONTENT_COLUMNS = ("promotional", "crm", "alert")
 
 
 @dataclass(frozen=True)
-class FixtureRow:
-    root_domain: str
+class CompanyRow:
+    """One company: a root domain of the table, or a service in analyze."""
+    company: str
     sector: str
     cluster: int
     total: int
@@ -42,26 +46,32 @@ class FixtureIntegrityError(ValueError):
     pass
 
 
-def load_fixture_table(path: str | Path | None = None) -> list[FixtureRow]:
+def load_fixture_table(path: str | Path | None = None) -> list[CompanyRow]:
     if path is None:
         text = resources.files("inboxaudit").joinpath(
             "fixtures/appendix_table.csv").read_text(encoding="utf-8")
     else:
         text = Path(path).read_text(encoding="utf-8")
-    rows: list[FixtureRow] = []
+    rows: list[CompanyRow] = []
     reader = csv.DictReader(text.splitlines())
-    for raw in reader:
-        row = FixtureRow(
-            root_domain=raw["root_domain"].strip(),
-            sector=raw["sector"].strip(),
-            cluster=int(raw["cluster"]),
-            total=int(raw["total"]),
-            promotional=int(raw["promotional"]),
-            crm=int(raw["crm"]),
-            alert=int(raw["alert"]),
-        )
+    for rownum, raw in enumerate(reader, start=2):
+        try:
+            if None in raw.values():
+                raise ValueError("short row")
+            row = CompanyRow(
+                company=raw["root_domain"].strip(),
+                sector=raw["sector"].strip(),
+                cluster=int(raw["cluster"]),
+                total=int(raw["total"]),
+                promotional=int(raw["promotional"]),
+                crm=int(raw["crm"]),
+                alert=int(raw["alert"]),
+            )
+        except (KeyError, ValueError) as exc:
+            raise FixtureIntegrityError(
+                f"{path or 'bundled table'}: row {rownum}: {exc}") from exc
         if min(row.total, row.promotional, row.crm, row.alert) < 0:
-            raise FixtureIntegrityError(f"negative count in row {row.root_domain}")
+            raise FixtureIntegrityError(f"negative count in row {row.company}")
         rows.append(row)
     if path is None and len(rows) != EXPECTED_ROWS:
         raise FixtureIntegrityError(
@@ -71,23 +81,19 @@ def load_fixture_table(path: str | Path | None = None) -> list[FixtureRow]:
     return rows
 
 
-def sector_contingency(rows: list[FixtureRow]) -> ContingencyTable:
-    """Sector x content-type counts summed from the table."""
+def sector_contingency(rows: list[CompanyRow]) -> ContingencyTable:
+    """Sector x content-type counts summed over the company rows."""
     sectors = sorted({r.sector for r in rows})
     counts = []
     for sector in sectors:
         members = [r for r in rows if r.sector == sector]
-        counts.append([
-            sum(r.promotional for r in members),
-            sum(r.crm for r in members),
-            sum(r.alert for r in members),
-        ])
-    return ContingencyTable(row_labels=sectors,
-                            col_labels=list(CONTENT_COLUMNS),
+        counts.append([sum(getattr(r, label) for r in members)
+                       for label in LABELS])
+    return ContingencyTable(row_labels=sectors, col_labels=list(LABELS),
                             counts=counts)
 
 
-def sector_groups(rows: list[FixtureRow]) -> dict[str, list[float]]:
+def sector_groups(rows: list[CompanyRow]) -> dict[str, list[float]]:
     """Per-company totals grouped by sector."""
     groups: dict[str, list[float]] = {}
     for row in rows:
@@ -95,14 +101,14 @@ def sector_groups(rows: list[FixtureRow]) -> dict[str, list[float]]:
     return {sector: groups[sector] for sector in sorted(groups)}
 
 
-def feature_subset(rows: list[FixtureRow]) -> tuple[list[str], np.ndarray]:
+def feature_subset(rows: list[CompanyRow]) -> tuple[list[str], np.ndarray]:
     """Reduced features derivable from the table: total + content proportions.
 
     The published cluster column was produced from a richer feature set
     that includes temporal columns; this subset is the part the table
     can reconstruct, so membership checks against it are soft.
     """
-    companies = [r.root_domain for r in rows]
+    companies = [r.company for r in rows]
     matrix = np.zeros((len(rows), 4))
     for i, row in enumerate(rows):
         classified = row.promotional + row.crm + row.alert
@@ -114,7 +120,7 @@ def feature_subset(rows: list[FixtureRow]) -> tuple[list[str], np.ndarray]:
     return companies, matrix
 
 
-def cluster_membership_check(rows: list[FixtureRow], seed: int = 42,
+def cluster_membership_check(rows: list[CompanyRow], seed: int = 42,
                              restarts: int = 10) -> dict:
     """k=2 K-Means on the reduced subset vs the published cluster column.
 
@@ -124,7 +130,7 @@ def cluster_membership_check(rows: list[FixtureRow], seed: int = 42,
     published labels by majority overlap.
     """
     companies, matrix = feature_subset(rows)
-    published = {r.root_domain: r.cluster for r in rows}
+    published = {r.company: r.cluster for r in rows}
     result = kmeans(matrix, k=2, seed=seed, restarts=restarts)
 
     # map fitted ids → published ids by best agreement
@@ -157,7 +163,7 @@ CHECKS = {
 }
 
 
-def run_fixture_checks(rows: list[FixtureRow],
+def run_fixture_checks(rows: list[CompanyRow],
                        convention: str = "sample") -> list[dict]:
     """Recompute the published statistics and compare with tolerances.
 

@@ -160,12 +160,6 @@ def is_internal_hop(ip: str) -> bool:
         return True
 
 
-def lookup_asn(ip: str, table: AsnTable) -> AsnRecord | None:
-    if is_internal_hop(ip):
-        return None
-    return table.lookup(ip)
-
-
 def flag_marketing_asn(record: AsnRecord | None, provider_list: list[str]) -> bool:
     """Case-insensitive substring match of the ASN organization."""
     if record is None or not record.organization:
@@ -211,15 +205,26 @@ class SenderProfile:
     spam_reports_total: int = 0
     emails_total: int = 0
     root_domain: str = ""          # most common from-domain, for flow labels
+    content_counts: Counter[str] = field(default_factory=Counter)  # by label
 
 
 class MessageRow(NamedTuple):
-    """The network and provenance facts about one parsed message."""
+    """The facts about one parsed message that the analyze aggregates count."""
     record: EmailRecord
     ip: str | None              # the sender IP when globally routable
     asn: AsnRecord | None
     marketing: bool             # the ASN is a listed marketing provider
     provenance: ProvenanceLabel
+    content: str | None         # the content label; None when unclassified
+
+
+def rows_by_service(rows: Iterable[MessageRow]) -> dict[str, list[MessageRow]]:
+    """Rows grouped by service, name-sorted; unmatched mail is left out."""
+    groups: dict[str, list[MessageRow]] = {}
+    for row in rows:
+        if row.record.service_name != UNMATCHED:
+            groups.setdefault(row.record.service_name, []).append(row)
+    return {service: groups[service] for service in sorted(groups)}
 
 
 @dataclass
@@ -228,23 +233,23 @@ class FlowEdges:
     treemap: dict[str, dict[str, int]]     # ASN label → {root domain: reports}
 
 
-def build_sender_profiles(rows: list[MessageRow], abuse: dict[str, int]
+def build_sender_profiles(by_service: dict[str, list[MessageRow]],
+                          abuse: dict[str, int]
                           ) -> tuple[list[SenderProfile], FlowEdges]:
-    """Aggregate per-service network behavior plus Sankey/treemap edges.
+    """Per-service network behavior and content counts, in the grouping's
+    order, plus Sankey/treemap edges.
 
     Profiles partition the matched corpus: unmatched records stay out,
     so Σ emails_total + unmatched count = corpus total.
     """
-    by_service: dict[str, list[MessageRow]] = {}
-    for row in rows:
-        if row.record.service_name != UNMATCHED:
-            by_service.setdefault(row.record.service_name, []).append(row)
     profiles: list[SenderProfile] = []
     sankey_weights: Counter[tuple[str, str]] = Counter()
     treemap: dict[str, dict[str, int]] = {}
-    for service, service_rows in sorted(by_service.items()):
-        profile = SenderProfile(service_name=service,
-                                emails_total=len(service_rows))
+    for service, service_rows in by_service.items():
+        profile = SenderProfile(
+            service_name=service, emails_total=len(service_rows),
+            content_counts=Counter(r.content for r in service_rows
+                                   if r.content is not None))
         domain_counts = Counter(r.record.from_root_domain for r in service_rows
                                 if r.record.from_root_domain)
         if domain_counts:

@@ -21,20 +21,23 @@ import numpy as np
 
 from .authlineage import ServiceOrgMap, classify_provenance
 from .classify.adapter import classify_records
-from .classify.rules import Classification, RuleTable, default_rule_table
+from .classify.rules import (LABELS, Classification, RuleTable,
+                             default_rule_table)
 from .cluster import (FEATURE_NAMES, FixedComponents, VarianceThreshold,
                       build_features, loadings_report, pca_fit, select_k,
                       standardize)
 from .config import AuditConfig
-from .corpus.aliases import AliasEntry, load_alias_registry
+from .corpus.aliases import load_alias_registry
 from .corpus.store import (CorpusStore, ingest_corpus, read_corpus_jsonl,
                            write_corpus_jsonl)
+from .fixture import CompanyRow, sector_contingency, sector_groups
 from .netintel import (AsnTable, MessageRow, asn_volume_concentration,
                        build_sender_profiles, flag_marketing_asn,
                        ip_hopping_correlation, is_internal_hop,
-                       load_abuse_reports, load_ip2asn, load_provider_list)
-from .stats.core import (ContingencyTable, chi_squared_independence,
-                         descriptive, kruskal_wallis, one_way_anova, pareto)
+                       load_abuse_reports, load_ip2asn, load_provider_list,
+                       rows_by_service)
+from .stats.core import (chi_squared_independence, descriptive,
+                         kruskal_wallis, one_way_anova, pareto)
 from .temporal import (build_daily_series, decompose_additive,
                        hour_day_matrix, spectrum_bins)
 
@@ -104,7 +107,9 @@ def _load_sector_map(path: str | None) -> dict[str, str]:
         if reader.fieldnames is None or not {"root_domain", "sector"} <= set(
                 reader.fieldnames):
             raise ValueError(f"{path}: need root_domain and sector columns")
-        for row in reader:
+        for rownum, row in enumerate(reader, start=2):
+            if None in row.values():
+                raise ValueError(f"{path}: row {rownum}: short row")
             sectors[row["root_domain"].strip().lower()] = row["sector"].strip()
     return sectors
 
@@ -146,7 +151,7 @@ def run_classify(cfg: AuditConfig, store: CorpusStore | None = None
             entry = {"message_id": message_id, **results[message_id].to_dict()}
             fh.write(json.dumps(entry, sort_keys=True, ensure_ascii=False) + "\n")
 
-    counts = {"promotional": 0, "crm": 0, "alert": 0}
+    counts = dict.fromkeys(LABELS, 0)
     fallbacks = 0
     for cls in results.values():
         counts[cls.label] += 1
@@ -180,40 +185,39 @@ def _load_classifications(cfg: AuditConfig) -> dict[str, Classification]:
                     rationale=entry["rationale"], source=entry["source"],
                     retries=entry.get("retries", 0),
                     flags=tuple(entry.get("flags", ())))
-            except (KeyError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(
                     f"{path}:{lineno}: bad classification line: {exc}"
                 ) from exc
     return results
 
 
-def _resolve_sector(service: str, records, sector_map: dict[str, str]) -> str:
-    """Sector by mapped root domain, else by alias kind, else Unknown."""
-    for rec in records:
-        if rec.from_root_domain and rec.from_root_domain in sector_map:
-            return sector_map[rec.from_root_domain]
-    for rec in records:
-        if isinstance(rec.alias, AliasEntry):
-            return rec.alias.service_kind
-    return "Unknown"
+def _resolve_sector(rows: list[MessageRow], sector_map: dict[str, str]) -> str:
+    """A service's sector: its first mapped root domain, else its alias kind."""
+    for row in rows:
+        domain = row.record.from_root_domain
+        if domain and domain in sector_map:
+            return sector_map[domain]
+    return rows[0].record.alias.service_kind
 
 
 def enrich(store: CorpusStore, asn_table: AsnTable, providers: list[str],
            clouds: list[str], org_map: ServiceOrgMap | None,
            classifications: dict[str, Classification]) -> list[MessageRow]:
     """One row per parsed message, in corpus order: the one place a
-    message's sender IP is looked up and its provenance decided."""
+    message's sender IP is looked up, its content label read and its
+    provenance decided."""
     rows: list[MessageRow] = []
     for rec in store.ok_records():
         ip = None if is_internal_hop(rec.sender_ip) else rec.sender_ip
         asn = asn_table.lookup(ip) if ip else None
         marketing = flag_marketing_asn(asn, providers)
         cls = classifications.get(rec.message_id)
+        content = cls.label if cls else None
         label = classify_provenance(
             rec, asn=asn, marketing_flag=marketing, org_map=org_map,
-            cloud_flag=flag_marketing_asn(asn, clouds),
-            content_label=cls.label if cls else None)
-        rows.append(MessageRow(rec, ip, asn, marketing, label))
+            cloud_flag=flag_marketing_asn(asn, clouds), content_label=content)
+        rows.append(MessageRow(rec, ip, asn, marketing, label, content))
     return rows
 
 
@@ -224,32 +228,15 @@ def _provenance_summary(rows: list[MessageRow]) -> dict:
             "flags": dict(Counter(f for lab in labels for f in lab.flags))}
 
 
-def _sector_stats(store: CorpusStore, sector_map: dict[str, str],
-                  classifications: dict[str, Classification],
-                  pareto_table, profiles, flows, cfg: AuditConfig) -> dict:
+def _sector_stats(companies: list[CompanyRow], pareto_table, profiles,
+                  flows, cfg: AuditConfig) -> dict:
     """Aggregate statistics block for sector_stats.json."""
-    labels = ["promotional", "crm", "alert"]
-    per_sector: dict[str, dict[str, int]] = {}
-    totals_by_sector: dict[str, list[float]] = {}
-    for service in store.services():
-        records = store.service_records(service)
-        sector = _resolve_sector(service, records, sector_map)
-        bucket = per_sector.setdefault(sector, dict.fromkeys(labels, 0))
-        for rec in records:
-            cls = classifications.get(rec.message_id)
-            if cls is not None:
-                bucket[cls.label] += 1
-        totals_by_sector.setdefault(sector, []).append(float(len(records)))
-
-    sectors = sorted(per_sector)
-    contingency = ContingencyTable(
-        row_labels=sectors, col_labels=labels,
-        counts=[[per_sector[s][lab] for lab in labels] for s in sectors])
-
+    contingency = sector_contingency(companies)
+    groups = list(sector_groups(companies).values())
     stats: dict = {
-        "contingency": {
-            "rows": sectors, "cols": labels, "counts": contingency.counts,
-        },
+        "contingency": {"rows": contingency.row_labels,
+                        "cols": contingency.col_labels,
+                        "counts": contingency.counts},
     }
 
     def attempt(name: str, fn):
@@ -259,15 +246,12 @@ def _sector_stats(store: CorpusStore, sector_map: dict[str, str],
             stats[name] = None
             stats.setdefault("notes", []).append(f"{name}: {exc}")
 
-    groups = [totals_by_sector[s] for s in sectors]
     attempt("chi_squared", lambda: chi_squared_independence(contingency))
     attempt("anova", lambda: one_way_anova(groups))
     attempt("kruskal_wallis", lambda: kruskal_wallis(groups))
 
-    per_company_totals = [float(len(store.service_records(s)))
-                          for s in store.services()]
     try:
-        stats["descriptive"] = descriptive(per_company_totals,
+        stats["descriptive"] = descriptive([float(c.total) for c in companies],
                                            convention=cfg.moment_convention)
     except ValueError as exc:
         stats["descriptive"] = None
@@ -307,21 +291,23 @@ def run_analyze(cfg: AuditConfig, store: CorpusStore | None = None,
     sector_map = _load_sector_map(cfg.sector_map_path)
 
     rows = enrich(store, asn_table, providers, clouds, org_map, classifications)
-    profiles, flows = build_sender_profiles(rows, abuse)
+    by_service = rows_by_service(rows)
+    profiles, flows = build_sender_profiles(by_service, abuse)
 
     # pareto.csv over root domains of parsed mail
-    domain_counts = [(domain, float(len(records)))
-                     for domain, records in store.by_root_domain.items()]
-    if not domain_counts:
+    domains = Counter(row.record.from_root_domain for row in rows
+                      if row.record.from_root_domain)
+    if not domains:
         raise ValueError("no parsed mail with a sender domain; nothing to rank")
-    pareto_table = pareto(domain_counts)
+    pareto_table = pareto([(d, float(n)) for d, n in domains.items()])
     _write_csv(out / "pareto.csv",
                ["rank", "root_domain", "emails", "share", "cumulative_share"],
                [[i + 1, e.name, int(e.value), e.share, e.cumulative_share]
                 for i, e in enumerate(pareto_table.entries)])
 
     # temporal artifacts on the whole-inbox series
-    series = build_daily_series(store)
+    records = [row.record for row in rows]
+    series = build_daily_series(records)
     bins = spectrum_bins(series, sigma=cfg.peak_sigma)
     _write_csv(out / "spectrum.csv",
                ["frequency", "magnitude", "period", "is_peak"],
@@ -339,13 +325,13 @@ def run_analyze(cfg: AuditConfig, store: CorpusStore | None = None,
                  float(dec.residual[i]) if np.isfinite(dec.residual[i]) else ""]
                 for i in range(len(series.values))])
 
-    matrix = hour_day_matrix(store)
+    matrix = hour_day_matrix(records)
     _write_csv(out / "heatmap.csv", ["dow", "hour", "count"],
                [[dow, hour, matrix[dow][hour]]
                 for dow in range(7) for hour in range(24)])
 
     # clustering artifacts
-    features = build_features(store, profiles, classifications)
+    features = build_features(by_service, profiles)
     standardized = standardize(features.matrix)
     if cfg.pca_components:
         target = FixedComponents(cfg.pca_components)
@@ -382,8 +368,15 @@ def run_analyze(cfg: AuditConfig, store: CorpusStore | None = None,
     _write_json(out / "sankey.json", flows.sankey)
     _write_json(out / "treemap.json", flows.treemap)
 
-    stats = _sector_stats(store, sector_map, classifications, pareto_table,
-                          profiles, flows, cfg)
+    # one appendix-shaped row per company feeds the sector statistics
+    companies = [
+        CompanyRow(company=service,
+                   sector=_resolve_sector(service_rows, sector_map),
+                   cluster=int(cluster), total=profile.emails_total,
+                   **{label: profile.content_counts[label] for label in LABELS})
+        for (service, service_rows), profile, cluster
+        in zip(by_service.items(), profiles, selection.labels, strict=True)]
+    stats = _sector_stats(companies, pareto_table, profiles, flows, cfg)
     stats["provenance_summary"] = _provenance_summary(rows)
     _write_json(out / "sector_stats.json", stats)
 

@@ -13,9 +13,6 @@ from datetime import date, timedelta
 
 import numpy as np
 
-ALL_SCOPE = "ALL"
-
-
 class EmptyScopeError(ValueError):
     pass
 
@@ -53,21 +50,16 @@ class Decomposition:
     seasonal_variance_share: float
 
 
-def _scoped_records(store, scope: str):
-    if scope == ALL_SCOPE:
-        records = store.records
-    else:
-        records = store.service_records(scope)
+def _stamped(records) -> list:
     stamped = [r for r in records if r.received_local is not None]
     if not stamped:
-        raise EmptyScopeError(f"no dated records in scope {scope!r}")
+        raise EmptyScopeError("no dated records")
     return stamped
 
 
-def build_daily_series(store, scope: str = ALL_SCOPE) -> DailySeries:
+def build_daily_series(records) -> DailySeries:
     """Emails per calendar day (audit timezone), missing days as explicit zeros."""
-    records = _scoped_records(store, scope)
-    days = [r.received_local.date() for r in records]
+    days = [r.received_local.date() for r in _stamped(records)]
     day0, day_last = min(days), max(days)
     n = (day_last - day0).days + 1
     values = [0.0] * n
@@ -159,11 +151,10 @@ def decompose_additive(series: DailySeries, period: int = 7) -> Decomposition:
     )
 
 
-def hour_day_matrix(store, scope: str = ALL_SCOPE) -> list[list[int]]:
+def hour_day_matrix(records) -> list[list[int]]:
     """7x24 counts by (day-of-week 0=Monday, hour) in the audit timezone."""
-    records = _scoped_records(store, scope)
     matrix = [[0] * 24 for _ in range(7)]
-    for rec in records:
+    for rec in _stamped(records):
         stamp = rec.received_local
         matrix[stamp.weekday()][stamp.hour] += 1
     return matrix

@@ -1,5 +1,6 @@
 """Feature building, standardization, PCA, K-Means, and k selection."""
 
+from collections import Counter
 from datetime import datetime, timedelta
 from types import SimpleNamespace
 
@@ -13,21 +14,15 @@ from inboxaudit.cluster import (FEATURE_NAMES, FixedComponents,
                                 pca_fit, select_k, silhouette, standardize)
 
 
-class FakeStore:
-    def __init__(self, by_service):
-        self.by_service = by_service
-
-    def services(self):
-        return sorted(self.by_service)
-
-    def service_records(self, name):
-        return self.by_service.get(name, [])
-
-
-def record(message_id, day=0, hour=9):
+def row(day=0, hour=9):
     base = datetime(2024, 1, 1, hour)  # a Monday
-    return SimpleNamespace(message_id=message_id,
-                           received_local=base + timedelta(days=day))
+    return SimpleNamespace(record=SimpleNamespace(
+        received_local=base + timedelta(days=day)))
+
+
+def profile(name, marketing, total, **content):
+    return SimpleNamespace(service_name=name, uses_marketing_provider=marketing,
+                           emails_total=total, content_counts=Counter(content))
 
 
 def test_feature_names_frozen():
@@ -41,18 +36,14 @@ def test_feature_names_frozen():
 
 
 def test_build_features_rows():
-    store = FakeStore({
-        "alpha": [record("m1", day=0, hour=9), record("m2", day=1, hour=9),
-                  record("m3", day=0, hour=20)],
-        "beta": [record("m4", day=5, hour=3),
-                 SimpleNamespace(message_id="m5", received_local=None)],
-    })
-    profiles = [SimpleNamespace(service_name="alpha", uses_marketing_provider=True),
-                SimpleNamespace(service_name="beta", uses_marketing_provider=False)]
-    classes = {"m1": SimpleNamespace(label="promotional"),
-               "m2": SimpleNamespace(label="promotional"),
-               "m3": SimpleNamespace(label="crm")}
-    features = build_features(store, profiles, classes)
+    by_service = {
+        "alpha": [row(day=0, hour=9), row(day=1, hour=9), row(day=0, hour=20)],
+        "beta": [row(day=5, hour=3),
+                 SimpleNamespace(record=SimpleNamespace(received_local=None))],
+    }
+    profiles = [profile("alpha", True, 3, promotional=2, crm=1),
+                profile("beta", False, 2)]
+    features = build_features(by_service, profiles)
     assert features.companies == ["alpha", "beta"]
     assert features.matrix.shape == (2, 36)
     alpha, beta = features.matrix
@@ -69,9 +60,14 @@ def test_build_features_rows():
 
 
 def test_build_features_needs_two_companies():
-    store = FakeStore({"solo": [record("m1")]})
     with pytest.raises(InsufficientCompaniesError):
-        build_features(store, [], {})
+        build_features({"solo": [row()]}, [profile("solo", False, 1)])
+
+
+def test_build_features_needs_one_profile_per_company():
+    by_service = {"alpha": [row()], "beta": [row()]}
+    with pytest.raises(ValueError):
+        build_features(by_service, [profile("alpha", False, 1)])
 
 
 def test_standardize_population_zscores():

@@ -1,18 +1,21 @@
 """Offline IP-to-ASN mapping, abuse enrichment, and flow aggregation."""
 
 import ipaddress
+from datetime import datetime, timezone
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from inboxaudit.corpus.aliases import load_alias_registry
-from inboxaudit.corpus.store import ingest_corpus
+from inboxaudit.corpus.eml import PARSE_OK, UNMATCHED, EmailRecord
+from inboxaudit.corpus.store import CorpusStore, ingest_corpus
 from inboxaudit.netintel import (AsnRecord, SnapshotParseError,
                                  asn_volume_concentration,
                                  build_sender_profiles, flag_marketing_asn,
                                  ip_hopping_correlation, is_internal_hop,
                                  load_abuse_reports, load_ip2asn,
-                                 load_provider_list, lookup_asn)
+                                 load_provider_list, rows_by_service)
 from inboxaudit.netintel import SenderProfile, UNROUTED
 from inboxaudit.pipeline import _bundled, enrich
 
@@ -170,12 +173,42 @@ def test_is_internal_hop(ip, expected):
     assert is_internal_hop(ip) is expected
 
 
-def test_lookup_asn_skips_internal_even_if_covered(tmp_path):
+def unmatched_record(message_id, sender_ip):
+    stamp = datetime(2024, 1, 1, tzinfo=timezone.utc)
+    return EmailRecord(
+        message_id=message_id, alias=UNMATCHED, from_address="",
+        from_root_domain="", received_utc=stamp, received_local=stamp,
+        sender_ip=sender_ip, spf="none", dkim="none", subject="",
+        body_text="", parse_status=PARSE_OK)
+
+
+def test_enrich_skips_internal_even_if_covered(tmp_path):
     path = write_snapshot(tmp_path, "0.0.0.0/0\t1\tEVERYTHING\n")
     table = load_ip2asn(path)
     assert table.lookup("10.0.0.1") is not None
-    assert lookup_asn("10.0.0.1", table) is None
-    assert lookup_asn("8.8.8.8", table).organization == "EVERYTHING"
+    store = CorpusStore.from_records([unmatched_record("a", "10.0.0.1"),
+                                      unmatched_record("b", "8.8.8.8")])
+    internal, routed = enrich(store, table, [], [], None, {})
+    assert internal.ip is None and internal.asn is None
+    assert routed.ip == "8.8.8.8"
+    assert routed.asn.organization == "EVERYTHING"
+
+
+def test_rows_by_service_and_content_counts():
+    def row(service, content):
+        return SimpleNamespace(
+            record=SimpleNamespace(service_name=service, from_root_domain=""),
+            ip=None, asn=None, marketing=False, content=content)
+
+    rows = [row("beta", "crm"), row(UNMATCHED, "alert"),
+            row("alpha", "promotional"), row("beta", "crm"), row("beta", None)]
+    by_service = rows_by_service(rows)
+    assert list(by_service) == ["alpha", "beta"]      # sorted, unmatched out
+    profiles, _ = build_sender_profiles(by_service, {})
+    assert [p.service_name for p in profiles] == ["alpha", "beta"]
+    assert profiles[0].content_counts == {"promotional": 1}
+    assert profiles[1].content_counts == {"crm": 2}
+    assert profiles[1].emails_total == 3               # unclassified counts
 
 
 def test_flag_marketing_asn():
@@ -217,18 +250,18 @@ def synth_profiles(synth_corpus):
     abuse = load_abuse_reports(synth_corpus.abuse_path)
     providers = load_provider_list(_bundled("marketing_providers.txt"))
     rows = enrich(store, table, providers, [], None, {})
-    profiles, flows = build_sender_profiles(rows, abuse)
+    profiles, flows = build_sender_profiles(rows_by_service(rows), abuse)
     return store, report, profiles, flows, abuse
 
 
 def test_profiles_partition_matched_corpus(synth_corpus, synth_profiles):
     store, report, profiles, _, _ = synth_profiles
     matched = sum(p.emails_total for p in profiles)
-    unmatched_records = len(store.service_records("UNMATCHED"))
-    assert matched + unmatched_records == len(store)
+    services = [r.service_name for r in store.records]
+    assert matched + services.count(UNMATCHED) == len(store)
     names = {p.service_name for p in profiles}
-    assert "UNMATCHED" not in names
-    assert names == set(store.services())
+    assert UNMATCHED not in names
+    assert names == set(services) - {UNMATCHED}
 
 
 def test_profile_network_facts(synth_corpus, synth_profiles):

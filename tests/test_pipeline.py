@@ -1,15 +1,18 @@
 """End-to-end pipeline and CLI behavior, including artifact schemas."""
 
+import csv
 import json
 import shutil
 import subprocess
 import sys
 import threading
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import jsonschema
 import pytest
+import scipy.stats
 from click.testing import CliRunner
 from referencing import Registry, Resource
 
@@ -173,6 +176,69 @@ def test_sector_stats_cross_checks(staged, synth_corpus):
     assert stats["ip_hopping"]["n"] >= 10
 
 
+def test_sector_stats_match_scipy(staged, synth_corpus):
+    """The contingency table and per-sector company totals, counted here
+    from the stage artifacts and the sector map, give sector_stats.json's
+    statistics under scipy."""
+    out, _ = staged
+    labels = {}
+    for line in (out / "classifications.jsonl").read_text().splitlines():
+        entry = json.loads(line)
+        labels[entry["message_id"]] = entry["label"]
+    with open(synth_corpus.sector_map_path, encoding="utf-8") as fh:
+        sector_map = {row["root_domain"].strip().lower(): row["sector"].strip()
+                      for row in csv.DictReader(fh)}
+
+    totals, content = Counter(), Counter()
+    mapped, kind = {}, {}
+    for line in (out / "corpus.jsonl").read_text().splitlines():
+        rec = json.loads(line)
+        if rec["parse_status"] != "ok" or not isinstance(rec["alias"], dict):
+            continue
+        service = rec["alias"]["service_name"]
+        totals[service] += 1
+        if rec["message_id"] in labels:
+            content[service, labels[rec["message_id"]]] += 1
+        # a service's sector: its first mapped from-domain, else its kind
+        if rec["from_root_domain"] in sector_map:
+            mapped.setdefault(service, sector_map[rec["from_root_domain"]])
+        kind.setdefault(service, rec["alias"]["service_kind"])
+    sector_of = {service: mapped.get(service, kind[service])
+                 for service in totals}
+
+    cols = ["promotional", "crm", "alert"]
+    table, groups = Counter(), {}
+    for service in sorted(totals):
+        sector = sector_of[service]
+        for col in cols:
+            table[sector, col] += content[service, col]
+        groups.setdefault(sector, []).append(totals[service])
+    sectors = sorted(groups)
+    observed = [[table[sector, col] for col in cols] for sector in sectors]
+
+    stats = json.loads((out / "sector_stats.json").read_text())
+    assert stats["contingency"] == {"rows": sectors, "cols": cols,
+                                    "counts": observed}
+    chi2, chi2_p, dof, _ = scipy.stats.chi2_contingency(observed,
+                                                        correction=False)
+    assert stats["chi_squared"]["statistic"] == pytest.approx(chi2, rel=1e-9)
+    assert stats["chi_squared"]["p_value"] == pytest.approx(chi2_p, rel=1e-6)
+    assert stats["chi_squared"]["df"] == [dof]
+    samples = [groups[sector] for sector in sectors]
+    anova = scipy.stats.f_oneway(*samples)
+    assert stats["anova"]["statistic"] == pytest.approx(anova.statistic,
+                                                        rel=1e-9)
+    assert stats["anova"]["p_value"] == pytest.approx(anova.pvalue, rel=1e-6)
+    kw = scipy.stats.kruskal(*samples)
+    assert stats["kruskal_wallis"]["statistic"] == pytest.approx(kw.statistic,
+                                                                 rel=1e-9)
+    assert stats["kruskal_wallis"]["p_value"] == pytest.approx(kw.pvalue,
+                                                               rel=1e-6)
+    assert stats["descriptive"]["n"] == len(totals)
+    assert stats["descriptive"]["mean"] == pytest.approx(
+        sum(totals.values()) / len(totals))
+
+
 def test_cluster_artifacts_are_consistent(staged):
     out, _ = staged
     loadings = json.loads((out / "loadings.json").read_text())
@@ -250,6 +316,53 @@ def test_corrupt_classifications_is_input_error(staged, synth_corpus, tmp_path):
         main, ["analyze", *cli_args(synth_corpus, tmp_path)])
     assert result.exit_code == 3
     assert "bad classification line" in result.output
+
+
+@pytest.mark.parametrize("line", ["[1]", "5"])
+def test_non_object_corpus_line_is_input_error(synth_corpus, tmp_path, line):
+    (tmp_path / "corpus.jsonl").write_text(line + "\n")
+    result = CliRunner().invoke(
+        main, ["classify", *cli_args(synth_corpus, tmp_path)])
+    assert result.exit_code == 3, result.output
+    assert "corpus.jsonl:1: bad corpus line" in result.output
+
+
+@pytest.mark.parametrize("line", ["[1]", "5"])
+def test_non_object_classification_line_is_input_error(staged, synth_corpus,
+                                                       tmp_path, line):
+    out, _ = staged
+    shutil.copy(out / "corpus.jsonl", tmp_path / "corpus.jsonl")
+    (tmp_path / "classifications.jsonl").write_text(line + "\n")
+    result = CliRunner().invoke(
+        main, ["analyze", *cli_args(synth_corpus, tmp_path)])
+    assert result.exit_code == 3, result.output
+    assert "classifications.jsonl:1: bad classification line" in result.output
+
+
+@pytest.mark.parametrize("key,text", [
+    ("sector_map_path", "root_domain,sector\nfoo.com\n"),
+    ("org_map_path", "service_name,accepted_domains,"
+                     "accepted_asn_org_substrings\nshopzilla\n"),
+    ("table", "root_domain,sector,cluster,total,promotional,crm,alert\n"
+              "foo.com,Retail,0\n"),
+], ids=["sector_map", "org_map", "fixture_table"])
+def test_short_csv_row_is_input_error(staged, synth_corpus, tmp_path, key,
+                                      text):
+    short = tmp_path / "short.csv"
+    short.write_text(text)
+    if key == "table":
+        args = ["fixture-check", "--table", str(short)]
+    else:
+        out, _ = staged
+        for name in ("corpus.jsonl", "classifications.jsonl"):
+            shutil.copy(out / name, tmp_path / name)
+        args = ["analyze", *cli_args(synth_corpus, tmp_path),
+                "--set", f"{key}={short}"]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 3, result.output
+    assert "input error" in result.output
+    assert "row 2" in result.output
+    assert isinstance(result.exception, SystemExit)  # no uncaught traceback
 
 
 def test_short_series_is_infeasible(tmp_path):

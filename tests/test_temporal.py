@@ -16,36 +16,26 @@ from inboxaudit.temporal import (DailySeries, EmptyScopeError,
                                  spectrum_peaks)
 
 
-def stamp(day, hour=12, service="svc"):
+def stamp(day, hour=12):
     base = datetime(2024, 1, 1, hour)  # a Monday
-    return SimpleNamespace(received_local=base + timedelta(days=day),
-                           service_name=service)
-
-
-class FakeStore:
-    def __init__(self, records):
-        self.records = records
-
-    def service_records(self, name):
-        return [r for r in self.records if r.service_name == name]
+    return SimpleNamespace(received_local=base + timedelta(days=day))
 
 
 def test_daily_series_fills_gaps():
-    store = FakeStore([stamp(0), stamp(3), stamp(3)])
-    series = build_daily_series(store)
+    series = build_daily_series([stamp(0), stamp(3), stamp(3)])
     assert series.values == [1.0, 0.0, 0.0, 2.0]
     assert series.day0 == datetime(2024, 1, 1).date()
     assert series.dates()[-1] == datetime(2024, 1, 4).date()
 
 
-def test_daily_series_scoping_and_unstamped():
-    records = [stamp(0, service="a"), stamp(1, service="b"),
-               SimpleNamespace(received_local=None, service_name="a")]
-    store = FakeStore(records)
-    assert build_daily_series(store, scope="a").values == [1.0]
-    assert len(build_daily_series(store)) == 2
+def test_daily_series_skips_unstamped():
+    unstamped = SimpleNamespace(received_local=None)
+    assert build_daily_series([stamp(0), stamp(1), unstamped]).values == \
+        [1.0, 1.0]
     with pytest.raises(EmptyScopeError):
-        build_daily_series(store, scope="nobody")
+        build_daily_series([unstamped])
+    with pytest.raises(EmptyScopeError):
+        hour_day_matrix([])
 
 
 def test_spectrum_needs_sixteen_days():
@@ -160,8 +150,8 @@ def test_variance_share_bounded(values):
 
 
 def test_hour_day_matrix_counts():
-    store = FakeStore([stamp(0, hour=9), stamp(7, hour=9), stamp(6, hour=23)])
-    matrix = hour_day_matrix(store)
+    matrix = hour_day_matrix([stamp(0, hour=9), stamp(7, hour=9),
+                              stamp(6, hour=23)])
     assert matrix[0][9] == 2          # both Mondays, 09:00
     assert matrix[6][23] == 1         # the Sunday
     assert sum(sum(row) for row in matrix) == 3
