@@ -12,14 +12,11 @@ from __future__ import annotations
 
 import csv
 import ipaddress
-import logging
 import re
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
-
-log = logging.getLogger(__name__)
 
 # verdict enums
 PASS, FAIL, NONE, ABSENT = "pass", "fail", "none", "absent"
@@ -29,8 +26,6 @@ INTERNAL, ATP, UTP = "internal", "atp", "utp"
 SOS, UUSS, NOT_SPAM = "sos", "uuss", "not_spam"
 
 UNKNOWN_IP = "UNKNOWN"
-
-HeaderMap = Sequence[tuple[str, str]]
 
 _MECH_RE = re.compile(r"\b(spf|dkim)\s*=\s*([a-z0-9]+)", re.IGNORECASE)
 _DKIM_DOMAIN_RE = re.compile(r"\bheader\.d\s*=\s*([^\s;]+)", re.IGNORECASE)
@@ -80,37 +75,31 @@ class ProvenanceLabel:
             raise ValueError(f"bad spam label: {self.spam!r}")
 
 
-def _headers_named(headers: HeaderMap, name: str) -> list[str]:
-    name = name.lower()
-    return [v for n, v in headers if n.lower() == name]
-
-
 def _authserv_id(value: str) -> str:
     head = value.split(";", 1)[0].strip()
     # the authserv-id may carry a version suffix ("mx.audit 1")
     return head.split()[0].lower() if head else ""
 
 
-def parse_auth_results(headers: HeaderMap, trusted_mx: str = "") -> AuthVerdict:
+def parse_auth_results(values: Sequence[str], trusted_mx: str = "") -> AuthVerdict:
     """Verdicts from the first Authentication-Results header of the trusted host.
 
+    ``values`` are the message's Authentication-Results values, topmost
+    first, as `parse_eml` collects them in its one pass over the headers.
+    With ``trusted_mx`` set, a header whose authserv-id is another host's
+    can be forged by the sender, so without one from ``trusted_mx`` every
+    verdict is `absent`; without ``trusted_mx`` the topmost header is read.
     Mechanism tokens are matched case-insensitively; a mechanism that
     never appears is `absent`. Soft and permanent failures collapse to
     `fail`; neutral-ish results collapse to `none`.
     """
-    candidates = _headers_named(headers, "Authentication-Results")
-    if not candidates:
-        return AuthVerdict()
-    chosen: str | None = None
     if trusted_mx:
-        for value in candidates:
-            if _authserv_id(value) == trusted_mx.lower():
-                chosen = value
-                break
+        trusted = trusted_mx.lower()
+        chosen = next((v for v in values if _authserv_id(v) == trusted), None)
+    else:
+        chosen = values[0] if values else None
     if chosen is None:
-        if trusted_mx:
-            log.debug("no Authentication-Results from %s; using topmost", trusted_mx)
-        chosen = candidates[0]
+        return AuthVerdict()
 
     spf = dkim = ABSENT
     for mech, token in _MECH_RE.findall(chosen):
@@ -148,14 +137,14 @@ def _by_host_re(trusted_mx: str) -> re.Pattern:
     return re.compile(r"\bby\s+" + re.escape(trusted_mx), re.IGNORECASE)
 
 
-def extract_sender_ip(headers: HeaderMap, trusted_mx: str = "") -> str:
+def extract_sender_ip(received: Sequence[str], trusted_mx: str = "") -> str:
     """Connecting IP from the topmost Received header written by the trusted host.
 
-    Only the from-clause (text before ` by `) is searched so the
-    receiver's own address is never mistaken for the sender. Returns
-    UNKNOWN when no trusted hop carries a parsable bracketed literal.
+    ``received`` are the message's Received values, topmost first. Only
+    the from-clause (text before ` by `) is searched so the receiver's
+    own address is never mistaken for the sender. Returns UNKNOWN when no
+    trusted hop carries a parsable bracketed literal.
     """
-    received = _headers_named(headers, "Received")
     by_token = _by_host_re(trusted_mx) if trusted_mx else None
     for value in received:
         flat = " ".join(value.split())

@@ -62,6 +62,13 @@ class Classification:
             "flags": list(self.flags),
         }
 
+    @classmethod
+    def from_dict(cls, d: dict) -> "Classification":
+        """Inverse of to_dict; ``retries`` and ``flags`` may be missing."""
+        return cls(label=d["label"], confidence=d["confidence"],
+                   rationale=d["rationale"], source=d["source"],
+                   retries=d.get("retries", 0), flags=tuple(d.get("flags", ())))
+
 
 Rule = tuple[str, re.Pattern, float, str | None]
 

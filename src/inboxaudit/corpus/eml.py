@@ -5,24 +5,28 @@ headers and a parseable date; anything else becomes an `unparseable`
 record that still counts toward volume totals.
 
 The message is parsed with an `email.policy.compat32` policy, which keeps
-every header as its raw string and builds no header objects. A value is
-decoded only when it is read: the seven headers the record reads (From,
-To, Delivered-To, X-Original-To, Subject, Date, Message-ID), the
-Received and Authentication-Results values handed to `authlineage`, and
-the MIME headers the parser and the body extraction read. Reading a
-value gives the string `policy.default`'s header registry gives for it.
-A plain ASCII value already in that string's form is returned unfolded
-(CR and LF removed, as `policy.default` does), and a Date is normalised
-as its DateHeader would be. Only a value that is non-ASCII, holds an
+every header as its raw string and builds no header objects. `parse_eml`
+then makes one pass over the header list into a map from each lowercased
+name to its raw values, in order. That map answers whether any
+recognised header is present, gives the first value of each header the
+record reads (From, To, Delivered-To, X-Original-To, Subject, Date,
+Message-ID), and gives the Received and Authentication-Results value
+lists handed to `authlineage`. A value is decoded only when it is read:
+those values, and the MIME headers the parser and the body extraction
+read through the policy. Reading a value gives the string
+`policy.default`'s header registry gives for it. A plain ASCII value
+already in that string's form is returned unfolded (CR and LF removed,
+as `policy.default` does). Only a value that is non-ASCII, holds an
 encoded word (`=?`) or is not in that form, such as a malformed address,
-goes through `policy.default`'s header registry. So the record is the
-one a full `policy.default` parse gives, at a fraction of its cost.
+goes through `policy.default`'s header registry. The Date is not decoded
+but parsed once from its unfolded value, which gives the date its
+DateHeader would. So the record is the one a full `policy.default` parse
+gives, at a fraction of its cost.
 """
 
 from __future__ import annotations
 
 import hashlib
-import logging
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone, tzinfo
@@ -39,8 +43,6 @@ from ..authlineage import ABSENT, UNKNOWN_IP, extract_sender_ip, parse_auth_resu
 from .aliases import AliasEntry, AliasRegistry
 from .suffix import root_domain
 
-log = logging.getLogger(__name__)
-
 UNMATCHED = "UNMATCHED"
 
 PARSE_OK = "ok"
@@ -52,7 +54,7 @@ _RECOGNIZED_HEADERS = frozenset({
     "delivered-to", "x-original-to",
 })
 
-_RECIPIENT_PRIORITY = ("Delivered-To", "X-Original-To", "To")
+_RECIPIENT_PRIORITY = ("delivered-to", "x-original-to", "to")
 
 
 @dataclass
@@ -221,60 +223,57 @@ class _DecodingCompat32(Compat32):
 
 _PARSE_POLICY = _DecodingCompat32()
 
-# the headers authlineage and the Received date fallback read
-_TRACE_HEADERS = frozenset({"received", "authentication-results"})
 
-
-def _header_items(msg: Message) -> list[tuple[str, str]]:
-    """The Received and Authentication-Results headers, in order, decoded."""
-    items: list[tuple[str, str]] = []
-    for name, value in msg.raw_items():
-        if name.lower() not in _TRACE_HEADERS:
-            continue
-        try:
-            items.append((name, _decoded(name, value)))
-        except Exception:
-            items.append((name, str(value)))
-    return items
-
-
-def _header(msg: Message, name: str) -> str:
+def _first(headers: dict[str, list[str]], name: str) -> str:
+    """The first ``name`` value, decoded; "" when missing or undecodable."""
+    values = headers.get(name)
+    if not values:
+        return ""
     try:
-        value = msg.get(name)
-        return str(value) if value is not None else ""
+        return _decoded(name, values[0])
     except Exception:
         return ""
 
 
-def _parse_date_value(value: str) -> datetime | None:
+def _trace(headers: dict[str, list[str]], name: str) -> list[str]:
+    """Every ``name`` value in order, decoded; raw when undecodable."""
+    decoded: list[str] = []
+    for value in headers.get(name, ()):
+        try:
+            decoded.append(_decoded(name, value))
+        except Exception:
+            decoded.append(value)
+    return decoded
+
+
+def _parse_date(value: str) -> datetime | None:
+    """The date of an RFC 5322 date-time value (unfolded first); None when
+    it does not parse. A date without a zone is taken as UTC."""
     try:
-        dt = parsedate_to_datetime(value)
-    except (TypeError, ValueError):
-        return None
-    if dt is None:
+        dt = parsedate_to_datetime(value.replace("\r", "").replace("\n", ""))
+    except Exception:  # ValueError mostly, OverflowError for huge numbers
         return None
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return dt
 
 
-def _message_datetime(msg: Message, headers: list[tuple[str, str]]) -> datetime | None:
-    dt = _parse_date_value(_header(msg, "Date"))
+def _message_datetime(date: list[str], received: list[str]) -> datetime | None:
+    dt = _parse_date(date[0]) if date else None
     if dt is not None:
         return dt
     # fall back to the stamp the receiving host wrote into Received
-    for name, value in headers:
-        if name.lower() != "received" or ";" not in value:
-            continue
-        dt = _parse_date_value(value.rsplit(";", 1)[1].strip())
-        if dt is not None:
-            return dt
+    for value in received:
+        if ";" in value:
+            dt = _parse_date(value.rsplit(";", 1)[1].strip())
+            if dt is not None:
+                return dt
     return None
 
 
-def recipient_local_part(msg: Message) -> str:
-    for header_name in _RECIPIENT_PRIORITY:
-        raw = _header(msg, header_name)
+def _recipient_local_part(headers: dict[str, list[str]]) -> str:
+    for name in _RECIPIENT_PRIORITY:
+        raw = _first(headers, name)
         if not raw:
             continue
         addresses = [addr for _, addr in getaddresses([raw]) if "@" in addr]
@@ -356,18 +355,21 @@ def parse_eml(raw: bytes,
     except Exception:
         return _unparseable(raw)
 
-    if not _RECOGNIZED_HEADERS.intersection(n.lower() for n in msg.keys()):
+    headers: dict[str, list[str]] = {}
+    for name, value in msg.raw_items():
+        headers.setdefault(name.lower(), []).append(value)
+    if _RECOGNIZED_HEADERS.isdisjoint(headers):
         return _unparseable(raw)
 
-    subject = re.sub(r"\s+", " ", _header(msg, "Subject")).strip()
-    from_address = parseaddr(_header(msg, "From"))[1].strip()
+    subject = re.sub(r"\s+", " ", _first(headers, "subject")).strip()
+    from_address = parseaddr(_first(headers, "from"))[1].strip()
 
-    headers = _header_items(msg)
-    received = _message_datetime(msg, headers)
+    received_values = _trace(headers, "received")
+    received = _message_datetime(headers.get("date", []), received_values)
     if received is None:
         return _unparseable(raw, subject=subject, from_address=from_address)
 
-    message_id = _header(msg, "Message-ID").strip().strip("<>").strip()
+    message_id = _first(headers, "message-id").strip().strip("<>").strip()
     if not message_id:
         message_id = _content_hash_id(raw)
 
@@ -379,7 +381,7 @@ def parse_eml(raw: bytes,
             from_root = ""
 
     alias: AliasEntry | str = UNMATCHED
-    local = recipient_local_part(msg)
+    local = _recipient_local_part(headers)
     if registry is not None and local:
         matched = registry.match(local)
         if matched is not None:
@@ -389,7 +391,8 @@ def parse_eml(raw: bytes,
     if isinstance(audit_timezone, str):
         audit_timezone = ZoneInfo(audit_timezone)
     received_local = received_utc.astimezone(audit_timezone)
-    verdict = parse_auth_results(headers, trusted_mx)
+    verdict = parse_auth_results(_trace(headers, "authentication-results"),
+                                 trusted_mx)
 
     return EmailRecord(
         message_id=message_id,
@@ -398,7 +401,7 @@ def parse_eml(raw: bytes,
         from_root_domain=from_root,
         received_utc=received_utc,
         received_local=received_local,
-        sender_ip=extract_sender_ip(headers, trusted_mx),
+        sender_ip=extract_sender_ip(received_values, trusted_mx),
         spf=verdict.spf,
         dkim=verdict.dkim,
         subject=subject,

@@ -38,7 +38,6 @@ class SnapshotParseError(ValueError):
 class AsnRecord:
     asn: int
     organization: str
-    prefix: str          # the row's CIDR, or "first-last" for a range row
 
     @property
     def label(self) -> str:
@@ -131,7 +130,6 @@ def load_ip2asn(path: str | Path) -> AsnTable:
                     raise ValueError("expected cidr, asn, organization")
                 network = ipaddress.ip_network(cells[0], strict=False)
                 first, last = network.network_address, network.broadcast_address
-                prefix = str(network)
                 asn, org = cells[1], cells[2:]
             else:
                 if len(cells) < 4:
@@ -142,11 +140,9 @@ def load_ip2asn(path: str | Path) -> AsnTable:
                     raise ValueError("range start and end differ in family")
                 if first > last:
                     raise ValueError("range start is after range end")
-                prefix = f"{first}-{last}"
                 asn, org = cells[2], cells[3:]
             rows.append((first, last, AsnRecord(
-                asn=_parse_asn(asn), organization=",".join(org).strip(),
-                prefix=prefix)))
+                asn=_parse_asn(asn), organization=",".join(org).strip())))
         except ValueError as exc:
             raise SnapshotParseError(f"{path}: row {lineno}: {exc}") from exc
     return AsnTable(rows)
@@ -161,20 +157,21 @@ def is_internal_hop(ip: str) -> bool:
 
 
 def flag_marketing_asn(record: AsnRecord | None, provider_list: list[str]) -> bool:
-    """Case-insensitive substring match of the ASN organization."""
+    """Case-insensitive substring match of the ASN organization against
+    lowercased, non-empty entries, as `load_provider_list` gives them."""
     if record is None or not record.organization:
         return False
     org = record.organization.lower()
-    return any(p.lower() in org for p in provider_list if p)
+    return any(p in org for p in provider_list)
 
 
 def load_provider_list(path: str | Path) -> list[str]:
-    """One organization substring per line; '#' comments allowed."""
+    """One organization substring per line, lowercased; '#' comments allowed."""
     entries: list[str] = []
     for raw in Path(path).read_text(encoding="utf-8").splitlines():
         line = raw.split("#", 1)[0].strip()
         if line:
-            entries.append(line)
+            entries.append(line.lower())
     return entries
 
 
@@ -200,7 +197,6 @@ def load_abuse_reports(path: str | Path) -> dict[str, int]:
 class SenderProfile:
     service_name: str
     ips: set[str] = field(default_factory=set)
-    asns: set[AsnRecord] = field(default_factory=set)
     uses_marketing_provider: bool = False
     spam_reports_total: int = 0
     emails_total: int = 0
@@ -260,7 +256,6 @@ def build_sender_profiles(by_service: dict[str, list[MessageRow]],
         sankey_weights.update((service, r.asn.label) for r in service_rows
                               if r.asn is not None)
         profile.ips = set(asn_of_ip)
-        profile.asns = {a for a in asn_of_ip.values() if a is not None}
         profile.uses_marketing_provider = any(r.marketing for r in service_rows)
         profile.spam_reports_total = sum(abuse.get(ip, 0) for ip in profile.ips)
         domain = profile.root_domain or profile.service_name

@@ -180,11 +180,7 @@ def _load_classifications(cfg: AuditConfig) -> dict[str, Classification]:
                 continue
             try:
                 entry = json.loads(line)
-                results[entry["message_id"]] = Classification(
-                    label=entry["label"], confidence=entry["confidence"],
-                    rationale=entry["rationale"], source=entry["source"],
-                    retries=entry.get("retries", 0),
-                    flags=tuple(entry.get("flags", ())))
+                results[entry["message_id"]] = Classification.from_dict(entry)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(
                     f"{path}:{lineno}: bad classification line: {exc}"
@@ -240,33 +236,24 @@ def _sector_stats(companies: list[CompanyRow], pareto_table, profiles,
     }
 
     def attempt(name: str, fn):
+        """stats[name] = fn(), or None with a note when fn is infeasible."""
         try:
-            stats[name] = fn().to_dict()
+            stats[name] = fn()
         except ValueError as exc:
             stats[name] = None
             stats.setdefault("notes", []).append(f"{name}: {exc}")
 
-    attempt("chi_squared", lambda: chi_squared_independence(contingency))
-    attempt("anova", lambda: one_way_anova(groups))
-    attempt("kruskal_wallis", lambda: kruskal_wallis(groups))
-
-    try:
-        stats["descriptive"] = descriptive([float(c.total) for c in companies],
-                                           convention=cfg.moment_convention)
-    except ValueError as exc:
-        stats["descriptive"] = None
-        stats.setdefault("notes", []).append(f"descriptive: {exc}")
-
+    attempt("chi_squared", lambda: chi_squared_independence(contingency).to_dict())
+    attempt("anova", lambda: one_way_anova(groups).to_dict())
+    attempt("kruskal_wallis", lambda: kruskal_wallis(groups).to_dict())
+    attempt("descriptive", lambda: descriptive(
+        [float(c.total) for c in companies], convention=cfg.moment_convention))
     stats["pareto"] = {
         "total": pareto_table.total,
         "top_10_share": pareto_table.top_k_share(10),
         "n_domains": len(pareto_table.entries),
     }
-    try:
-        stats["ip_hopping"] = ip_hopping_correlation(profiles)
-    except ValueError as exc:
-        stats["ip_hopping"] = None
-        stats.setdefault("notes", []).append(f"ip_hopping: {exc}")
+    attempt("ip_hopping", lambda: ip_hopping_correlation(profiles))
     stats["asn_concentration"] = [
         {"asn": label, "emails": volume, "cumulative_share": share}
         for label, volume, share in asn_volume_concentration(flows)]

@@ -4,15 +4,19 @@ import base64
 from datetime import date, datetime, timezone
 from email import policy
 from email.message import Message
+from email.utils import parsedate_to_datetime
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from inboxaudit.authlineage import classify_provenance
+from inboxaudit.classify.rules import SOURCE_EXTERNAL, Classification
 from inboxaudit.corpus.aliases import AliasEntry, AliasRegistry
 from inboxaudit.corpus.eml import (_DATE_HEADERS, _PLAIN_FORMS, PARSE_OK,
                                    PARSE_UNPARSEABLE, UNMATCHED, EmailRecord,
-                                   _decoded, html_to_text, parse_eml)
+                                   _decoded, _parse_date, html_to_text,
+                                   parse_eml)
 from inboxaudit.synth import render_eml
 
 TRUSTED = "mx.audit.example"
@@ -202,6 +206,13 @@ def test_round_trip_record_dict(registry):
     assert again == rec
 
 
+def test_round_trip_classification_dict():
+    cls = Classification(label="crm", confidence=4, rationale="order update",
+                         source=SOURCE_EXTERNAL, retries=2,
+                         flags=("adapter_fallback",))
+    assert Classification.from_dict(cls.to_dict()) == cls
+
+
 # --- decoding matches a full policy.default parse -------------------------
 #
 # Each case's expected record is what parse_eml gave when it parsed the
@@ -337,6 +348,39 @@ DECODING_CASES = [
     ("crlf_line_endings",
      eml({b"Received": RECEIVED.replace(b" by ", b"\n\tby ")}, crlf=True),
      {}),
+    # the first value of a repeated header is the one read
+    ("repeated_headers",
+     eml().replace(b"\n\n", b"\nSubject: Second subject\n"
+                   b"From: other@elsewhere.example\n"
+                   b"Date: Wed, 06 Mar 2024 12:00:00 +0000\n"
+                   b"Message-ID: <msg-2@elsewhere.example>\n"
+                   b"Delivered-To: other000@audit.example\n\n", 1),
+     {}),
+    # Date forms that DateHeader's normalisation rewrites
+    ("date_two_digit_year",
+     eml({b"Date": b"Tue, 05 Mar 24 09:00:00 +0100"}),
+     {}),
+    ("date_named_zone",
+     eml({b"Date": b"Tue, 05 Mar 2024 03:00:00 EST"}),
+     {}),
+    ("date_unknown_zone",
+     eml({b"Date": b"Tue, 05 Mar 2024 08:00:00 -0000"}),
+     {}),
+    ("date_without_seconds",
+     eml({b"Date": b"Tue, 05 Mar 2024 09:00 +0100"}),
+     {}),
+    ("date_zone_out_of_range",
+     eml({b"Date": b"Tue, 05 Mar 2024 09:00:00 +9999"}),
+     FROM_RECEIVED),
+    ("date_folded",
+     eml({b"Date": b"Tue, 05 Mar 2024\n 09:00:00 +0100"}),
+     {}),
+    ("date_non_ascii_comment",
+     eml({b"Date": "Tue, 05 Mar 2024 09:00:00 +0100 (é)".encode("utf-8")}),
+     {}),
+    ("date_encoded_word_comment",
+     eml({b"Date": b"Tue, 05 Mar 2024 09:00:00 +0100 (=?utf-8?q?CET?=)"}),
+     {}),
 ]
 
 
@@ -409,3 +453,65 @@ def test_parse_eml_is_total(raw):
     rec = parse_eml(raw, trusted_mx=TRUSTED)
     assert rec.parse_status in (PARSE_OK, PARSE_UNPARSEABLE)
     assert EmailRecord.from_dict(rec.to_dict()) == rec
+
+
+def test_foreign_auth_results_is_not_trusted(registry):
+    # the sender can write an Authentication-Results header naming any host
+    raw = eml({b"Authentication-Results":
+               b"forged.example; spf=pass smtp.mailfrom=deals@mail.shopzilla.com;"
+               b" dkim=pass header.d=shopzilla.com"})
+    rec = parse_eml(raw, registry, trusted_mx=TRUSTED)
+    assert (rec.spf, rec.dkim) == ("absent", "absent")
+    assert classify_provenance(rec).provenance == "utp"
+    # without a trusted host, the topmost header is read
+    assert parse_eml(raw, registry, trusted_mx="").spf == "pass"
+
+
+def test_received_stamp_that_overflows_is_unparseable(registry):
+    raw = eml({b"Date": None,
+               b"Received": RECEIVED.replace(b"10:30:00",
+                                             b"99999999999999999999:30:00")})
+    rec = parse_eml(raw, registry, trusted_mx=TRUSTED)
+    assert rec.parse_status == PARSE_UNPARSEABLE
+
+
+def _date_through_decoded(value: str) -> datetime | None:
+    """The two-step Date path: the value decoded as DateHeader reads it
+    (a value that fails to decode reads as ""), then parsed again."""
+    try:
+        decoded = _decoded("Date", value)
+    except Exception:
+        decoded = ""
+    try:
+        dt = parsedate_to_datetime(decoded)
+    except (TypeError, ValueError):
+        return None
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return dt
+
+
+_DATE_PIECES = st.sampled_from([
+    " ", "\t", "\r\n ", "\n\t", ",", ":", ".", "-", "+", "(", ")", "=?", "?=",
+    "0", "1", "9", "00", "05", "24", "59", "60", "99", "1999", "2024", "0999",
+    "99999999999999999999", "Tue", "Mar", "mAR", "Sept", "EST", "PDT", "UT",
+    "GMT", "Z", "XYZ", "+0100", "-0000", "+0000", "+0099", "-0130", "+9999",
+    "é", "\udce9", "Tue, 05 Mar 2024 09:00:00 +0100", "05 Mar 24 09:00",
+])
+_ZONES = st.sampled_from(["", " +0100", " -0000", " +0000", " EST", " UT",
+                          " XYZ", " +0099", " -2359", " +9999", " +2400"])
+
+
+@given(st.one_of(
+    st.lists(_DATE_PIECES, max_size=10).map("".join),
+    st.builds("{}{:02d} {} {}{} {:02d}:{:02d}{}{}".format,
+              st.sampled_from(["", "Tue, "]), st.integers(0, 32),
+              st.sampled_from(["Jan", "Mar", "Dec", "Foo"]),
+              st.sampled_from(["", "19", "20", "0"]), st.integers(0, 99),
+              st.integers(0, 25), st.integers(0, 61),
+              st.sampled_from(["", ":00", ":59", ":61"]), _ZONES)))
+def test_one_date_parse_matches_decoded_then_parsed(value):
+    value = value.lstrip(" \t")  # as the parser stores a header value
+    got, expected = _parse_date(value), _date_through_decoded(value)
+    # equal instants are not enough: the offsets must agree too
+    assert (got and got.isoformat()) == (expected and expected.isoformat())

@@ -212,9 +212,8 @@ def test_rows_by_service_and_content_counts():
 
 
 def test_flag_marketing_asn():
-    rec = AsnRecord(asn=11377, organization="SENDGRID", prefix="167.89.0.0/17")
+    rec = AsnRecord(asn=11377, organization="SENDGRID")
     assert flag_marketing_asn(rec, ["sendgrid", "mailchimp"])
-    assert flag_marketing_asn(rec, ["SendGrid"])
     assert not flag_marketing_asn(rec, ["mailchimp"])
     assert not flag_marketing_asn(None, ["sendgrid"])
     assert not flag_marketing_asn(rec, [])
@@ -222,8 +221,10 @@ def test_flag_marketing_asn():
 
 def test_load_provider_list(tmp_path):
     path = tmp_path / "providers.txt"
-    path.write_text("sendgrid  # the big one\n\n# all of it\nmailgun\n")
-    assert load_provider_list(path) == ["sendgrid", "mailgun"]
+    path.write_text("SendGrid  # the big one\n\n# all of it\nmailgun\n")
+    providers = load_provider_list(path)
+    assert providers == ["sendgrid", "mailgun"]
+    assert flag_marketing_asn(AsnRecord(11377, "SENDGRID"), providers)
 
 
 def test_abuse_reports_sum_duplicates(tmp_path):
@@ -272,9 +273,9 @@ def test_profile_network_facts(synth_corpus, synth_profiles):
     assert shop.uses_marketing_provider
     assert shop.spam_reports_total == sum(abuse.get(ip, 0) for ip in shop.ips)
     assert shop.root_domain == "shopzilla.com"
-    # craftyard's block is absent from the snapshot: IPs but no ASNs
+    # craftyard's block is absent from the snapshot: IPs but no route
     craft = by_name["craftyard"]
-    assert craft.ips and not craft.asns
+    assert craft.ips
     assert not craft.uses_marketing_provider
     # every profile IP is globally routable
     for profile in profiles:
