@@ -5,6 +5,11 @@ and demands strict JSON back. Responses are validated hard; one
 automatic re-prompt appends "Respond with JSON only", after which the
 record falls back to the rule engine with a flag. The adapter is
 optional: nothing in the acceptance path requires a live endpoint.
+
+``classify_records`` classifies each distinct (subject, body) pair of a
+run once, in rules and external mode alike, so a templated message
+repeated across an inbox costs one request; its copies share the whole
+result, and a fallback warning names the first message of the text.
 """
 
 from __future__ import annotations
@@ -194,22 +199,32 @@ def classify_records(records, mode: str, cfg: AdapterConfig | None = None,
                      session=None) -> dict[str, Classification]:
     """Classify every ok record; returns {message_id: Classification}.
 
-    External mode runs a bounded in-flight pool; the merge by message_id
-    keeps results deterministic regardless of completion order.
+    Records are grouped by their exact (subject, body_text) pair, and
+    the first record of each group is classified once, by the rules or
+    the endpoint; every message of the group maps to that one result,
+    retries and flags included. External mode runs a bounded in-flight
+    pool; the merge in record order keeps results deterministic
+    regardless of completion order.
     """
-    ok_records = [r for r in records if r.parse_status == "ok"]
-    if mode == "rules":
-        return {r.message_id: classify_rule_based(r, table) for r in ok_records}
-    if mode != "external":
+    if mode not in ("rules", "external"):
         raise ValueError(f"unknown classifier mode: {mode!r}")
-    if cfg is None or not cfg.endpoint:
+    if mode == "external" and (cfg is None or not cfg.endpoint):
         raise ValueError("external mode requires an adapter endpoint")
-    if session is None:
-        session = requests.Session()
-    results: dict[str, Classification] = {}
-    with ThreadPoolExecutor(max_workers=max(1, cfg.pool_size)) as pool:
-        futures = {r.message_id: pool.submit(
-            classify_with_fallback, r, cfg, table, session) for r in ok_records}
-        for message_id, future in futures.items():
-            results[message_id] = future.result()
-    return results
+    ok_records = [r for r in records if r.parse_status == "ok"]
+    firsts = {}  # (subject, body_text) -> first ok record with that text
+    for r in ok_records:
+        firsts.setdefault((r.subject, r.body_text), r)
+    log.info("classifying %d messages as %d distinct texts",
+             len(ok_records), len(firsts))
+    if mode == "rules":
+        by_text = {text: classify_rule_based(r, table)
+                   for text, r in firsts.items()}
+    else:
+        if session is None:
+            session = requests.Session()
+        with ThreadPoolExecutor(max_workers=max(1, cfg.pool_size)) as pool:
+            futures = {text: pool.submit(
+                classify_with_fallback, r, cfg, table, session)
+                for text, r in firsts.items()}
+            by_text = {text: future.result() for text, future in futures.items()}
+    return {r.message_id: by_text[(r.subject, r.body_text)] for r in ok_records}

@@ -35,7 +35,7 @@ _FOLD = str.maketrans({"\u0130": "i", "\u0131": "i", "\u017f": "s"})
 _CONFIDENCE_STEPS = (1.0, 3.0, 6.0, 10.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Classification:
     label: str
     confidence: int

@@ -55,6 +55,12 @@ class AuditConfig:
             raise ConfigError(f"classifier must be rules|external, got {self.classifier!r}")
         if self.classifier == "external" and not self.adapter.endpoint:
             raise ConfigError("classifier=external requires adapter_endpoint")
+        if self.adapter.timeout_s <= 0:
+            raise ConfigError("adapter_timeout_s must be positive")
+        if self.adapter.retries < 0:
+            raise ConfigError("adapter_retries must be >= 0")
+        if self.adapter.pool_size < 1:
+            raise ConfigError("adapter_pool_size must be >= 1")
         if self.moment_convention not in ("sample", "population"):
             raise ConfigError(f"bad moment_convention: {self.moment_convention!r}")
         if not (2 <= self.k_min <= self.k_max):

@@ -210,3 +210,64 @@ def test_classify_records_requires_endpoint():
         classify_records([record()], "external", cfg=AdapterConfig())
     with pytest.raises(ValueError):
         classify_records([record()], "divination")
+
+
+# ------------------------------------------------------------- text grouping
+
+ALERT_REPLY = {"sentiment": "alert", "confidence": 2,
+               "rationale": "sign-in notice"}
+
+
+def test_classify_records_sends_each_text_once(endpoint):
+    records = ([record(message_id=f"a{i}@x") for i in range(5)]
+               + [record(message_id=f"b{i}@x", subject="New sign-in",
+                         body="Was this you?") for i in range(2)])
+    MockHandler.script = [(200, json.dumps(GOOD)),
+                          (200, json.dumps(ALERT_REPLY))]
+    cfg = AdapterConfig(endpoint=endpoint, timeout_s=5, pool_size=1)
+    results = classify_records(records, "external", cfg=cfg)
+    assert len(MockHandler.requests_seen) == 2
+    assert set(results) == {r.message_id for r in records}
+    assert {results[f"a{i}@x"].label for i in range(5)} == {"promotional"}
+    assert {results[f"b{i}@x"].label for i in range(2)} == {"alert"}
+    assert all(results[f"b{i}@x"].confidence == 2 for i in range(2))
+
+
+def test_classify_records_fallback_reaches_every_copy(endpoint):
+    records = [record(message_id=f"m{i}@x") for i in range(3)]
+    MockHandler.script = [(500, "a"), (500, "b"), (500, "c")]
+    cfg = AdapterConfig(endpoint=endpoint, timeout_s=5, retries=2,
+                        pool_size=1)
+    results = classify_records(records, "external", cfg=cfg)
+    assert len(MockHandler.requests_seen) == 3
+    for cls in results.values():
+        assert cls.source == "rules"
+        assert "adapter_fallback" in cls.flags
+
+
+def test_classify_records_copies_share_reprompt_retries(endpoint):
+    records = [record(message_id=f"m{i}@x") for i in range(4)]
+    MockHandler.script = [(200, "not json"), (200, json.dumps(GOOD))]
+    cfg = AdapterConfig(endpoint=endpoint, timeout_s=5, pool_size=1)
+    results = classify_records(records, "external", cfg=cfg)
+    assert len(MockHandler.requests_seen) == 2
+    assert all(c.retries == 1 and c.source == "external"
+               for c in results.values())
+
+
+def test_classify_records_unparseable_copy_left_out(endpoint):
+    records = [record(message_id="bad@x", status="unparseable"), record()]
+    results = classify_records(records, "external", cfg=cfg_for(endpoint))
+    assert set(results) == {"m1@x"}
+    assert len(MockHandler.requests_seen) == 1
+    assert set(classify_records(records, "rules")) == {"m1@x"}
+
+
+def test_classify_records_keys_on_raw_text_not_prompt(endpoint):
+    # both strip to the same prompt, but the pair differs
+    records = [record(message_id="m1@x", body="Shop now"),
+               record(message_id="m2@x", body="Shop now\n")]
+    assert build_prompt("Flash sale: 30% off", "Shop now") == \
+        build_prompt("Flash sale: 30% off", "Shop now\n")
+    classify_records(records, "external", cfg=cfg_for(endpoint))
+    assert len(MockHandler.requests_seen) == 2

@@ -108,3 +108,14 @@ def test_validate_direct():
     cfg = AuditConfig(classifier="external",
                       adapter=type(AuditConfig().adapter)(endpoint="http://x"))
     cfg.validate()  # endpoint present, so external is fine
+
+
+@pytest.mark.parametrize("values,needle", [
+    ({"adapter_timeout_s": "0"}, "adapter_timeout_s"),
+    ({"adapter_timeout_s": "-1.5"}, "adapter_timeout_s"),
+    ({"adapter_retries": "-1"}, "adapter_retries"),
+    ({"adapter_pool_size": "0"}, "adapter_pool_size"),
+])
+def test_adapter_setting_rejections(values, needle):
+    with pytest.raises(ConfigError, match=needle):
+        build_config(file_values=values)

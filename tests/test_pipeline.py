@@ -282,6 +282,16 @@ def test_unknown_timezone_is_config_error(synth_corpus, tmp_path):
     assert isinstance(result.exception, SystemExit)  # no uncaught traceback
 
 
+def test_zero_adapter_timeout_is_config_error(synth_corpus, tmp_path):
+    result = CliRunner().invoke(
+        main, ["classify", *cli_args(synth_corpus, tmp_path),
+               "--set", "classifier=external",
+               "--set", "adapter_endpoint=http://127.0.0.1:9/classify",
+               "--set", "adapter_timeout_s=0"])
+    assert result.exit_code == 2
+    assert "adapter_timeout_s" in result.output
+
+
 def test_missing_corpus_dir_is_input_error(synth_corpus, tmp_path):
     result = CliRunner().invoke(
         main, ["ingest", "--corpus-dir", str(tmp_path / "nope"),

@@ -215,3 +215,31 @@ def test_custom_table_gets_gates(tmp_path, spelling):
     assert classify_text("RESET\tnow", "", table).label == "alert"
     assert classify_text("CAF\u00c9", "", table).label == "promotional"
     assert "low_signal" in classify_text("basket", "", table).flags
+
+
+def test_classification_is_frozen(table):
+    import dataclasses
+    cls = classify_text("Flash sale", "", table)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cls.label = "alert"
+
+
+def test_classify_records_rules_once_per_text(synth_run, monkeypatch):
+    from inboxaudit.classify import adapter
+    from inboxaudit.corpus.store import read_corpus_jsonl
+    from inboxaudit.pipeline import CORPUS_FILE
+    _cfg, out, _report = synth_run
+    records = read_corpus_jsonl(out / CORPUS_FILE).records
+    ok = [r for r in records if r.parse_status == "ok"]
+    texts = {(r.subject, r.body_text) for r in ok}
+    assert len(texts) < len(ok)  # the corpus repeats templated mail
+    calls = []
+
+    def counting(record, table=None):
+        calls.append(record.message_id)
+        return classify_rule_based(record, table)
+
+    monkeypatch.setattr(adapter, "classify_rule_based", counting)
+    results = adapter.classify_records(records, "rules")
+    assert len(calls) == len(texts)
+    assert results == {r.message_id: classify_rule_based(r) for r in ok}
