@@ -28,9 +28,16 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import gen  # noqa: E402
 
-from inboxaudit.config import build_config  # noqa: E402
-from inboxaudit.pipeline import run_classify, run_ingest, run_report  # noqa: E402
-from inboxaudit.synth import make_grid_corpus, make_synthetic_corpus  # noqa: E402
+try:
+    from inboxaudit.config import build_config
+    from inboxaudit.pipeline import run_classify, run_ingest, run_report
+    from inboxaudit.synth import make_grid_corpus, make_synthetic_corpus
+except ModuleNotFoundError as exc:
+    if not (exc.name or "").startswith("inboxaudit"):
+        raise
+    print(f"artifact_digests.py: cannot import {exc.name}; "
+          "set PYTHONPATH to a checkout's src", file=sys.stderr)
+    sys.exit(2)
 
 TABLE_CSV = ROOT / "src" / "inboxaudit" / "fixtures" / "appendix_table.csv"
 

@@ -5,9 +5,13 @@ so runs are reproducible. Each snapshot row, CIDR or range, is one
 [first, last] address interval. Where rows overlap, the smallest
 containing row wins and, between rows of one size, the later row; for
 CIDR rows that is longest-prefix match. Published ip2asn range files are
-disjoint, so the rule only decides for hand-made snapshots. Private and
-reserved source IPs are excluded from profiles and flow outputs as
-internal hops.
+disjoint, so the rule only decides for hand-made snapshots, and a
+snapshot whose rows are disjoint is used as sorted, without the overlap
+sweep. Range ends and looked-up IPs are parsed to integers with
+``socket.inet_pton`` (``ipaddress`` only for what it rejects, such as
+scoped IPv6 addresses, and for the error text); the rows of one
+(ASN, organization) share one ``AsnRecord``. Private and reserved source
+IPs are excluded from profiles and flow outputs as internal hops.
 """
 
 from __future__ import annotations
@@ -15,9 +19,11 @@ from __future__ import annotations
 import csv
 import heapq
 import ipaddress
+import socket
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -26,8 +32,6 @@ from .corpus.eml import UNMATCHED, EmailRecord
 from .stats import pearson, spearman
 
 UNROUTED = "unrouted"
-
-_Address = ipaddress.IPv4Address | ipaddress.IPv6Address
 
 
 class SnapshotParseError(ValueError):
@@ -44,8 +48,20 @@ class AsnRecord:
         return f"AS{self.asn} {self.organization}"
 
 
-def _flatten(rows: list[tuple[int, int, AsnRecord]]
-             ) -> list[tuple[int, int, AsnRecord]]:
+def _address(text: str) -> tuple[int, int]:
+    """(IP version, integer value) of an address, as ``ipaddress.ip_address``
+    reads it; ValueError with its message when it is not one."""
+    try:
+        packed = socket.inet_pton(
+            socket.AF_INET6 if ":" in text else socket.AF_INET, text)
+    except (OSError, ValueError):     # ValueError: an embedded NUL
+        address = ipaddress.ip_address(text)
+        return address.version, int(address)
+    return (4 if len(packed) == 4 else 6), int.from_bytes(packed, "big")
+
+
+def _sweep(rows: list[tuple[int, int, AsnRecord]]
+           ) -> list[tuple[int, int, AsnRecord]]:
     """Sorted, disjoint (first, last, record) intervals covering ``rows``:
     a sweep over the row boundaries. Rows enter a heap keyed (size, -row
     index) at their first address, so its top is the winner at each point."""
@@ -64,16 +80,27 @@ def _flatten(rows: list[tuple[int, int, AsnRecord]]
     return flat
 
 
-class AsnTable:
-    """ASN lookup over (first address, last address, record) rows, flattened
-    at build time into sorted, disjoint intervals per family (the module
-    docstring says which row wins an overlap), so a lookup is one bisect."""
+def _flatten(rows: list[tuple[int, int, AsnRecord]]
+             ) -> list[tuple[int, int, AsnRecord]]:
+    """The intervals ``_sweep(rows)`` gives. Rows that are already disjoint
+    are their own flattening, so they are only sorted."""
+    ordered = sorted(rows, key=itemgetter(0))
+    if all(prev[1] < row[0] for prev, row in zip(ordered, ordered[1:])):
+        return ordered
+    return _sweep(rows)
 
-    def __init__(self, rows: Sequence[tuple[_Address, _Address, AsnRecord]] = ()):
+
+class AsnTable:
+    """ASN lookup over (IP version, first, last, record) integer rows,
+    flattened at build time into sorted, disjoint intervals per family (the
+    module docstring says which row wins an overlap), so a lookup is one
+    bisect."""
+
+    def __init__(self, rows: Sequence[tuple[int, int, int, AsnRecord]] = ()):
         self._rows = len(rows)
-        self._flat = {family: _flatten([(int(first), int(last), record)
-                                        for first, last, record in rows
-                                        if first.version == family])
+        self._flat = {family: _flatten([(first, last, record)
+                                        for version, first, last, record in rows
+                                        if version == family])
                       for family in (4, 6)}
         self._starts = {family: [first for first, _, _ in flat]
                         for family, flat in self._flat.items()}
@@ -81,47 +108,56 @@ class AsnTable:
     def __len__(self) -> int:
         return self._rows
 
-    def lookup(self, ip: str | _Address) -> AsnRecord | None:
+    def lookup(self, ip: str) -> AsnRecord | None:
         try:
-            addr = ipaddress.ip_address(ip)
+            version, value = _address(ip)
         except ValueError:
             return None
-        value = int(addr)
-        i = bisect_right(self._starts[addr.version], value) - 1
+        i = bisect_right(self._starts[version], value) - 1
         if i >= 0:
-            _, last, record = self._flat[addr.version][i]
+            _, last, record = self._flat[version][i]
             if value <= last:
                 return record
         return None
 
 
 def _snapshot_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
-    """(line number, cells) of each TSV or CSV row but blank and '#' lines."""
+    """(line number, cells) of each TSV or CSV row but blank and '#' lines.
+    Only a line with a quote needs ``csv.reader``; any other is split."""
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(),
                                  start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
             delim = "\t" if "\t" in line else ","
-            yield lineno, [cell.strip() for cell
-                           in next(csv.reader([line], delimiter=delim))]
+            cells = (next(csv.reader([line], delimiter=delim)) if '"' in line
+                     else line.split(delim))
+            yield lineno, [cell.strip() for cell in cells]
 
 
 _MAX_ASN = 2**32 - 1  # ASNs are unsigned 32-bit numbers (RFC 6793)
 
 
+def _decimal(cell: str, what: str) -> int:
+    """``cell`` read as ASCII decimal digits; ``int`` alone would also take
+    a sign, underscores and non-ASCII digits."""
+    if not (cell.isascii() and cell.isdigit()):
+        raise ValueError(f"{what} {cell!r} is not a decimal number")
+    return int(cell)
+
+
 def _parse_asn(cell: str) -> int:
-    cell = cell.strip().upper()
-    if cell.startswith("AS"):
+    if cell[:2].isascii() and cell[:2].upper() == "AS":
         cell = cell[2:]
-    asn = int(cell)
-    if not 0 <= asn <= _MAX_ASN:
+    asn = _decimal(cell, "asn")
+    if asn > _MAX_ASN:
         raise ValueError(f"asn {asn} outside 0-{_MAX_ASN}")
     return asn
 
 
 def load_ip2asn(path: str | Path) -> AsnTable:
     """Load an ASN snapshot: rows of CIDR or (range_start, range_end) + asn + org."""
-    rows: list[tuple[_Address, _Address, AsnRecord]] = []
+    rows: list[tuple[int, int, int, AsnRecord]] = []
+    records: dict[tuple[int, str], AsnRecord] = {}
     path = Path(path)
     for lineno, cells in _snapshot_rows(path):
         try:
@@ -129,22 +165,27 @@ def load_ip2asn(path: str | Path) -> AsnTable:
                 if len(cells) < 3:
                     raise ValueError("expected cidr, asn, organization")
                 network = ipaddress.ip_network(cells[0], strict=False)
-                first, last = network.network_address, network.broadcast_address
+                version = network.version
+                first = int(network.network_address)
+                last = int(network.broadcast_address)
                 asn, org = cells[1], cells[2:]
             else:
                 if len(cells) < 4:
                     raise ValueError("expected range_start, range_end, asn, org")
-                first = ipaddress.ip_address(cells[0])
-                last = ipaddress.ip_address(cells[1])
-                if first.version != last.version:
+                version, first = _address(cells[0])
+                last_version, last = _address(cells[1])
+                if version != last_version:
                     raise ValueError("range start and end differ in family")
                 if first > last:
                     raise ValueError("range start is after range end")
                 asn, org = cells[2], cells[3:]
-            rows.append((first, last, AsnRecord(
-                asn=_parse_asn(asn), organization=",".join(org).strip())))
+            key = (_parse_asn(asn), ",".join(org).strip())
         except ValueError as exc:
             raise SnapshotParseError(f"{path}: row {lineno}: {exc}") from exc
+        record = records.get(key)
+        if record is None:
+            record = records[key] = AsnRecord(*key)
+        rows.append((version, first, last, record))
     return AsnTable(rows)
 
 
@@ -184,9 +225,7 @@ def load_abuse_reports(path: str | Path) -> dict[str, int]:
             if len(cells) < 2:
                 raise ValueError("expected ip, total_reports")
             ip = str(ipaddress.ip_address(cells[0]))
-            count = int(cells[1])
-            if count < 0:
-                raise ValueError("negative report count")
+            count = _decimal(cells[1], "report count")
         except ValueError as exc:
             raise SnapshotParseError(f"{path}: row {lineno}: {exc}") from exc
         reports[ip] = reports.get(ip, 0) + count

@@ -1,12 +1,18 @@
 """Offline IP-to-ASN mapping, abuse enrichment, and flow aggregation."""
 
+import csv
+import heapq
 import ipaddress
+import random
 from datetime import datetime, timezone
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from inboxaudit import netintel
 from inboxaudit.corpus.aliases import load_alias_registry
 from inboxaudit.corpus.eml import PARSE_OK, UNMATCHED, EmailRecord
 from inboxaudit.corpus.store import CorpusStore, ingest_corpus
@@ -22,7 +28,7 @@ from inboxaudit.pipeline import _bundled, enrich
 
 def write_snapshot(tmp_path, text, name="ip2asn.tsv"):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return path
 
 
@@ -62,6 +68,40 @@ def test_org_names_keep_embedded_commas(tmp_path):
     assert table.lookup("5.6.7.8").organization == "ACME,INC."
 
 
+def test_quoted_cells_keep_csv_quoting(tmp_path):
+    path = write_snapshot(tmp_path, '5.6.0.0/16,99,"ACME, INC."\n')
+    assert load_ip2asn(path).lookup("5.6.7.8").organization == "ACME, INC."
+
+
+_LINE_CHARS = st.sampled_from('ab1. ,\t"\x00\u00e9')
+
+
+@settings(max_examples=300)
+@given(line=st.text(_LINE_CHARS, min_size=1, max_size=20))
+@example(line="a,,b,")
+@example(line='8.8.8.0/24\t15169\t"GOOGLE\tLLC"')       # a quoted tab
+@example(line='8.8.8.0/24\t15169\tTHE "BEST", LLC')     # quotes in a cell
+@example(line='"8.8.8.0/24"\t"15169"\t"A ""B"" C"')      # doubled quotes
+def test_snapshot_rows_match_csv_reader(tmp_path_factory, line):
+    # splitting is only a fast path: every row reads as csv.reader reads it
+    path = tmp_path_factory.mktemp("rows") / "snapshot.tsv"
+    path.write_text(line + "\n", encoding="utf-8")
+    stripped = line.strip()
+    if not stripped or stripped.startswith("#"):
+        assert list(netintel._snapshot_rows(path)) == []
+        return
+    delim = "\t" if "\t" in stripped else ","
+    expected = [cell.strip()
+                for cell in next(csv.reader([stripped], delimiter=delim))]
+    assert list(netintel._snapshot_rows(path)) == [(1, expected)]
+
+
+def test_abuse_reports_keep_csv_quoting(tmp_path):
+    path = tmp_path / "abuse.csv"
+    path.write_text('"167.89.1.1",5\n"167.89.1.1"\t"7"\n', encoding="utf-8")
+    assert load_abuse_reports(path) == {"167.89.1.1": 12}
+
+
 @pytest.mark.parametrize("bad", [
     "167.89.0.0/17\tAS11377\n",            # missing org
     "not-an-ip\t1.2.3.4\t1\torg\n",        # bad range start
@@ -70,6 +110,10 @@ def test_org_names_keep_embedded_commas(tmp_path):
     "1.2.3.0/24\t99999999999999999999\torg\n",  # asn beyond 32 bits
     "1.2.3.0\t2001:db8::1\t64500\tX\n",    # range of mixed families
     "1.2.3.9\t1.2.3.0\t64500\tX\n",        # reversed range
+    "1.2.3.0/24\t1_000\torg\n",            # int() would read 1000
+    "1.2.3.0/24\t+5\torg\n",               # int() would read 5
+    "1.2.3.0/24\t\u0661\u0662\u0663\torg\n",  # Arabic-Indic 123
+    "1.2.3.0/24\tAS+5\torg\n",             # a sign after the prefix
 ])
 def test_load_rejects_bad_rows_with_lineno(tmp_path, bad):
     path = write_snapshot(tmp_path, "# header\n" + bad)
@@ -162,6 +206,170 @@ def test_overlapping_ranges_prefer_the_smaller_row(tmp_path):
     assert len(table) == 2
 
 
+def _reference_address(text):
+    """What ``ipaddress`` makes of ``text``: (version, value) or the error."""
+    try:
+        address = ipaddress.ip_address(text)
+    except ValueError as exc:
+        return str(exc)
+    return address.version, int(address)
+
+
+_HEX = "0123456789abcdefABCDEF"
+_HEXTET = st.text(_HEX, min_size=1, max_size=4)
+_BAD_HEXTET = st.sampled_from(["", "00000", "12345", "g", "\u0661"])
+_OCTET = st.integers(0, 255).map(str)
+_BAD_OCTET = (st.sampled_from(["", "00", "01", "256", "\u0661", "\uff11"])
+              | st.text("0123456789", min_size=1, max_size=4))
+
+
+def _parts(draw, part, bad, count):
+    """``count`` parts, one time in three with one part too many or too
+    few, and one time in four with one of them replaced by a bad part."""
+    count = max(0, count + draw(st.sampled_from([0, 0, 0, 0, 1, -1])))
+    parts = draw(st.lists(part, min_size=count, max_size=count))
+    if parts and draw(st.integers(0, 3)) == 0:
+        parts[draw(st.integers(0, len(parts) - 1))] = draw(bad)
+    return parts
+
+
+@st.composite
+def _dotted(draw):
+    return ".".join(_parts(draw, _OCTET, _BAD_OCTET, 4))
+
+
+@st.composite
+def _colon_address(draw):
+    """IPv6 text, with or without '::', a dotted quad tail or a scope."""
+    dotted = draw(st.booleans())
+    width = 6 if dotted else 8
+    gap = draw(st.booleans())
+    groups = _parts(draw, _HEXTET, _BAD_HEXTET,
+                    draw(st.integers(0, width - 1)) if gap else width)
+    if dotted:
+        groups.append(draw(_dotted()))
+    if gap:
+        cut = draw(st.integers(0, len(groups) - dotted))
+        text = ":".join(groups[:cut]) + "::" + ":".join(groups[cut:])
+    else:
+        text = ":".join(groups)
+    if draw(st.integers(0, 9)) == 0:
+        text += "%" + draw(st.text("eth0", max_size=4))
+    return text
+
+
+_PADDING = st.sampled_from(["", "", "", "", "", " ", "\t", "\x00",
+                            "\u00a0"])
+
+
+@settings(max_examples=500)
+@given(text=st.one_of(
+    st.ip_addresses().map(str),
+    st.ip_addresses(v=6).map(lambda a: a.exploded),
+    st.tuples(_PADDING, st.one_of(_dotted(), _colon_address()),
+              _PADDING).map("".join),
+    st.text(max_size=24)))
+@example(text="01.2.3.4")
+@example(text="1.2.3.04")
+@example(text="1.2.3.00")
+@example(text="00001::")
+@example(text="::ffff:1.2.3.4")
+@example(text="::ffff:01.2.3.4")
+@example(text="1:2:3:4:5:6:1.2.3.4")
+@example(text="fe80::1%eth0")
+@example(text="1:2:3:4::5:6:7:8")
+@example(text="1:2:3:4:5:6:7::")
+@example(text="\u0661.2.3.4")                  # Arabic-Indic digit one
+@example(text="1.2.3.\uff14")                  # fullwidth digit four
+@example(text="\u0661::")
+@example(text=" 1.2.3.4")
+@example(text="1.2.3.4 ")
+@example(text="::1 ")
+@example(text="1.2.3.4\x00")
+@example(text="::1\x00")
+def test_address_agrees_with_ipaddress(text):
+    # inet_pton comes from the platform's C library; ipaddress is the spec
+    expected = _reference_address(text)
+    try:
+        got = netintel._address(text)
+    except ValueError as exc:
+        got = str(exc)
+    assert got == expected
+
+
+def _oracle_flatten(rows):
+    """_flatten as it was before the disjoint shortcut: the heap sweep over
+    the row boundaries, for every input."""
+    points = sorted({p for first, last, _ in rows for p in (first, last + 1)})
+    pending = sorted(((first, last - first, -i, last, record)
+                      for i, (first, last, record) in enumerate(rows)),
+                     reverse=True)
+    open_rows, flat = [], []
+    for lo, hi in zip(points, points[1:]):
+        while pending and pending[-1][0] <= lo:
+            heapq.heappush(open_rows, pending.pop()[1:])
+        while open_rows and open_rows[0][2] < lo:
+            heapq.heappop(open_rows)
+        if open_rows:
+            flat.append((lo, hi - 1, open_rows[0][3]))
+    return flat
+
+
+_GAPS = {"disjoint": [1, 2, 3], "adjacent": [0, 0, 3], "touching": [-1, 0, 2]}
+
+
+def _intervals(rng, shape, n):
+    """``n`` shuffled (first, last) intervals: disjoint with gaps, disjoint
+    with adjacent rows (last + 1 == next first), rows that share their last
+    address with the next row's first, or overlapping at random."""
+    if shape == "overlapping":
+        firsts = [rng.randrange(0, 4 * n) for _ in range(n)]
+        return [(first, first + rng.randrange(0, 12)) for first in firsts]
+    rows, cursor = [], rng.randrange(0, 5)
+    for _ in range(n):
+        last = cursor + rng.randrange(0, 6)
+        rows.append((cursor, last))
+        cursor = last + 1 + rng.choice(_GAPS[shape])
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("shape", ["disjoint", "adjacent", "touching",
+                                   "overlapping"])
+@pytest.mark.parametrize("seed", range(5))
+def test_flatten_matches_the_sweep(tmp_path, monkeypatch, shape, seed):
+    rng = random.Random(f"{shape}:{seed}")
+    v4 = _intervals(rng, shape, 60)
+    v6 = _intervals(rng, shape, 20)
+    orgs = [(rng.randrange(1, 5), rng.choice(["ALPHA", "BETA"]))
+            for _ in range(len(v4) + len(v6))]
+    lines = [f"{ipaddress.IPv4Address(first)}\t{ipaddress.IPv4Address(last)}"
+             for first, last in v4]
+    lines += [f"{ipaddress.IPv6Address(2**64 + first)}"
+              f"\t{ipaddress.IPv6Address(2**64 + last)}" for first, last in v6]
+    path = write_snapshot(tmp_path, "".join(
+        f"{ends}\tAS{asn}\t{org}\n" for ends, (asn, org) in zip(lines, orgs)))
+
+    if shape in ("disjoint", "adjacent"):   # these never reach the sweep
+        monkeypatch.setattr(netintel, "_sweep", None)
+    table = load_ip2asn(path)
+    assert len(table) == len(v4) + len(v6)
+
+    def expected(intervals, offset, records):
+        return _oracle_flatten([(offset + first, offset + last,
+                                 AsnRecord(*record))
+                                for (first, last), record
+                                in zip(intervals, records)])
+
+    assert table._flat[4] == expected(v4, 0, orgs)
+    assert table._flat[6] == expected(v6, 2**64, orgs[len(v4):])
+
+    # rows of one (asn, org) share one record
+    records = [record for family in (4, 6)
+               for _, _, record in table._flat[family]]
+    assert len({id(record) for record in records}) == len(set(records))
+
+
 @pytest.mark.parametrize("ip,expected", [
     ("10.1.2.3", True), ("192.168.0.1", True), ("127.0.0.1", True),
     ("169.254.1.1", True), ("fe80::1", True), ("::1", True),
@@ -234,10 +442,12 @@ def test_abuse_reports_sum_duplicates(tmp_path):
     assert reports == {"167.89.1.1": 12, "198.51.100.9": 0}
 
 
-@pytest.mark.parametrize("bad", ["167.89.1.1,-3\n", "nope,5\n", "167.89.1.1\n"])
+@pytest.mark.parametrize("bad", ["167.89.1.1,-3\n", "nope,5\n", "167.89.1.1\n",
+                                 "167.89.1.1,1_000\n", "167.89.1.1,+5\n",
+                                 "167.89.1.1,\u0661\u0662\u0663\n"])
 def test_abuse_reports_reject_bad_rows(tmp_path, bad):
     path = tmp_path / "abuse.csv"
-    path.write_text(bad)
+    path.write_text(bad, encoding="utf-8")
     with pytest.raises(SnapshotParseError, match="row 1"):
         load_abuse_reports(path)
 

@@ -350,6 +350,24 @@ def test_non_object_classification_line_is_input_error(staged, synth_corpus,
 
 
 @pytest.mark.parametrize("key,text", [
+    ("ip2asn_path", "1.2.3.0/24\t1_000\tORG\n"),
+    ("abuse_path", "167.89.1.1,+5\n"),
+], ids=["asn_underscore", "signed_report_count"])
+def test_non_decimal_snapshot_number_is_input_error(staged, synth_corpus,
+                                                    tmp_path, key, text):
+    out, _ = staged
+    for name in ("corpus.jsonl", "classifications.jsonl"):
+        shutil.copy(out / name, tmp_path / name)
+    snapshot = tmp_path / "snapshot.txt"
+    snapshot.write_text(text, encoding="utf-8")
+    result = CliRunner().invoke(main, ["analyze",
+                                       *cli_args(synth_corpus, tmp_path),
+                                       "--set", f"{key}={snapshot}"])
+    assert result.exit_code == 3, result.output
+    assert "snapshot.txt: row 1:" in result.output
+
+
+@pytest.mark.parametrize("key,text", [
     ("sector_map_path", "root_domain,sector\nfoo.com\n"),
     ("org_map_path", "service_name,accepted_domains,"
                      "accepted_asn_org_substrings\nshopzilla\n"),
@@ -442,6 +460,19 @@ def test_make_corpus_script_runs(tmp_path):
     assert summary["grid_messages"] == 500
     assert (tmp_path / "main" / "eml").is_dir()
     assert (tmp_path / "grid" / "expectations.jsonl").is_file()
+
+
+def test_artifact_digests_without_inboxaudit_prints_a_hint():
+    # -I ignores PYTHONPATH and -S site-packages: inboxaudit cannot import
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "scripts/artifact_digests.py"],
+        cwd=Path(__file__).resolve().parents[1],
+        capture_output=True, text=True)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        "artifact_digests.py: cannot import inboxaudit; "
+        "set PYTHONPATH to a checkout's src"]
 
 
 class _FailingHandler(BaseHTTPRequestHandler):
