@@ -14,7 +14,9 @@ direction in ``BENCHMARK.json``) go to ``--out`` together with ``nproc``,
 the Python version and the platform. An existing ``--out`` keeps its
 other entries, so one file can hold several; an entry is keyed
 ``<workload>-s<seed>``, with ``+trace`` appended for ``--trace 1`` runs.
-Values equal to nine significant digits count as a tie.
+Values equal to nine significant digits count as a tie. A run still
+going after ten times ``run_seconds`` from ``BENCHMARK.json`` is killed
+and recorded as a run without a result.
 
 A metric is ``claimable`` when the change won at least nine tenths of
 the pairs run (a pair with a run that gave no result is not a win), the
@@ -37,6 +39,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("base", "change")
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+RUN_TIMEOUT_S = 10 * SPEC["run_seconds"]
 
 
 def _describe(checkout: Path) -> str | None:
@@ -48,7 +52,12 @@ def _describe(checkout: Path) -> str | None:
 def _run(checkout: Path, args: argparse.Namespace) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
            "--seed", str(args.seed), "--trace", str(args.trace)]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    try:
+        proc = subprocess.run(cmd, cwd=checkout, capture_output=True,
+                              text=True, timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        sys.stderr.write(f"{checkout}: no result after {RUN_TIMEOUT_S} s\n")
+        return {"returncode": None, "result": None}
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
@@ -68,9 +77,8 @@ def _quartiles(values: list[float]) -> dict:
 
 
 def _better_directions() -> dict[str, str]:
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     return {m["name"]: m["better"]
-            for m in spec["end_to_end"] + spec["per_layer"]}
+            for m in SPEC["end_to_end"] + SPEC["per_layer"]}
 
 
 def _failures(runs: list[dict], side: str) -> dict:

@@ -2,16 +2,8 @@
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
-from dataclasses import dataclass
-from itertools import combinations
-from pathlib import Path
 from typing import Sequence
-
-
-class InsufficientRatersError(ValueError):
-    pass
 
 
 def cohens_kappa(a: Sequence[str], b: Sequence[str]) -> float:
@@ -34,71 +26,3 @@ def cohens_kappa(a: Sequence[str], b: Sequence[str]) -> float:
     if p_e == 1.0:
         return 1.0 if p_o == 1.0 else 0.0
     return (p_o - p_e) / (1.0 - p_e)
-
-
-@dataclass
-class RaterMatrix:
-    """Complete design: every rater labels every item."""
-    items: list[str]
-    labels: dict[str, list[str]]  # rater id → labels aligned to items
-
-    def __post_init__(self):
-        for rater, lab in self.labels.items():
-            if len(lab) != len(self.items):
-                raise ValueError(
-                    f"rater {rater!r} labeled {len(lab)} of {len(self.items)} items")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "RaterMatrix":
-        """Delimited text, one row per item: item_id, then one column per rater."""
-        with Path(path).open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if not header or len(header) < 2:
-                raise ValueError(f"{path}: need item column plus >=1 rater column")
-            raters = header[1:]
-            items: list[str] = []
-            columns: list[list[str]] = [[] for _ in raters]
-            for rownum, row in enumerate(reader, start=2):
-                if len(row) != len(header):
-                    raise ValueError(f"{path}: row {rownum}: expected "
-                                     f"{len(header)} cells, got {len(row)}")
-                items.append(row[0])
-                for i, cell in enumerate(row[1:]):
-                    columns[i].append(cell.strip())
-        return cls(items=items, labels=dict(zip(raters, columns)))
-
-
-def pairwise_irr(matrix: RaterMatrix, machine_rater: str | None = None) -> dict:
-    """Mean kappa over unordered human pairs, plus machine-human pairs.
-
-    Returns {human_human_mean, machine_human_mean, pairs} where pairs
-    lists every (rater_a, rater_b, kappa) computed.
-    """
-    raters = sorted(matrix.labels)
-    if machine_rater is not None and machine_rater not in matrix.labels:
-        raise ValueError(f"unknown machine rater: {machine_rater!r}")
-    humans = [r for r in raters if r != machine_rater]
-    if len(raters) < 2:
-        raise InsufficientRatersError("pairwise IRR requires at least 2 raters")
-
-    pairs: list[tuple[str, str, float]] = []
-    human_scores: list[float] = []
-    machine_scores: list[float] = []
-    for ra, rb in combinations(humans, 2):
-        k = cohens_kappa(matrix.labels[ra], matrix.labels[rb])
-        pairs.append((ra, rb, k))
-        human_scores.append(k)
-    if machine_rater is not None:
-        for rh in humans:
-            k = cohens_kappa(matrix.labels[machine_rater], matrix.labels[rh])
-            pairs.append((machine_rater, rh, k))
-            machine_scores.append(k)
-
-    return {
-        "human_human_mean": (sum(human_scores) / len(human_scores)
-                             if human_scores else None),
-        "machine_human_mean": (sum(machine_scores) / len(machine_scores)
-                               if machine_scores else None),
-        "pairs": pairs,
-    }

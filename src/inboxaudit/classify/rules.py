@@ -127,7 +127,14 @@ class RuleTable:
 
     @classmethod
     def load(cls, path: str | Path) -> "RuleTable":
-        return cls.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+        """A custom table; any malformed content is a ValueError naming
+        ``path``."""
+        try:
+            return cls.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+        except (KeyError, TypeError, AttributeError, re.error,
+                ValueError) as exc:
+            raise ValueError(f"{path}: bad rule table "
+                             f"({type(exc).__name__}: {exc})") from exc
 
 
 @lru_cache(maxsize=1)

@@ -7,28 +7,20 @@ import sys
 
 import click
 
-from .classify.irr import InsufficientRatersError
 from .cluster import InsufficientCompaniesError
 from .config import AuditConfig, ConfigError, build_config, parse_config_file
-from .corpus.aliases import RegistryIntegrityError, RegistryParseError
-from .fixture import (FixtureIntegrityError, load_fixture_table,
-                      run_fixture_checks)
-from .netintel import SnapshotParseError
+from .fixture import load_fixture_table, run_fixture_checks
 from .pipeline import run_analyze, run_classify, run_ingest, run_report
 from .stats.core import InsufficientDataError
 from .temporal import EmptyScopeError, InsufficientSeriesError
 
-EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INPUT = 3
 EXIT_INFEASIBLE = 4
 
 _INFEASIBLE = (InsufficientDataError, InsufficientSeriesError, EmptyScopeError,
-               InsufficientCompaniesError, InsufficientRatersError)
-_INPUT = (RegistryParseError, RegistryIntegrityError, SnapshotParseError,
-          FixtureIntegrityError, OSError, ValueError)
-
-log = logging.getLogger(__name__)
+               InsufficientCompaniesError)
+_INPUT = (OSError, ValueError)
 
 
 def _build(config_path: str | None, **overrides) -> AuditConfig:
@@ -39,9 +31,6 @@ def _build(config_path: str | None, **overrides) -> AuditConfig:
 def _run(stage, cfg) -> None:
     try:
         summary = stage(cfg)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
     except _INFEASIBLE as exc:
         click.echo(f"analysis infeasible: {exc}", err=True)
         sys.exit(EXIT_INFEASIBLE)
@@ -91,11 +80,11 @@ def _stage_command(name: str, stage, help_text: str):
     @click.option("--registry", "registry_path", default=None,
                   type=click.Path(), help="alias registry CSV")
     def cmd(config_path, seed, output_dir, extra, corpus_dir, registry_path):
-        overrides = _merge_extras(extra, {
-            "seed": seed, "output_dir": output_dir,
-            "corpus_dir": corpus_dir, "registry_path": registry_path,
-        })
         try:
+            overrides = _merge_extras(extra, {
+                "seed": seed, "output_dir": output_dir,
+                "corpus_dir": corpus_dir, "registry_path": registry_path,
+            })
             cfg = _build(config_path, **overrides)
         except ConfigError as exc:
             click.echo(f"config error: {exc}", err=True)
@@ -126,7 +115,7 @@ def fixture_check(table_path: str | None, convention: str) -> None:
     try:
         rows = load_fixture_table(table_path)
         results = run_fixture_checks(rows, convention=convention)
-    except (FixtureIntegrityError, OSError, ValueError) as exc:
+    except _INPUT as exc:
         click.echo(f"input error: {exc}", err=True)
         sys.exit(EXIT_INPUT)
 

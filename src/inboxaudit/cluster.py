@@ -36,7 +36,6 @@ class InsufficientCompaniesError(ValueError):
 class FeatureMatrix:
     companies: list[str]
     matrix: np.ndarray  # shape (n_companies, 36)
-    feature_names: list[str] = field(default_factory=lambda: list(FEATURE_NAMES))
     no_content_companies: list[str] = field(default_factory=list)
 
 
@@ -81,8 +80,6 @@ def build_features(by_service: dict[str, list], profiles) -> FeatureMatrix:
 @dataclass
 class StandardizeResult:
     matrix: np.ndarray
-    means: np.ndarray
-    stds: np.ndarray
     zero_variance_cols: list[int]
 
 
@@ -99,8 +96,7 @@ def standardize(matrix: np.ndarray) -> StandardizeResult:
     z[:, stds == 0.0] = 0.0
     if zero_cols:
         log.info("standardize: %d zero-variance columns zeroed", len(zero_cols))
-    return StandardizeResult(matrix=z, means=means, stds=stds,
-                             zero_variance_cols=zero_cols)
+    return StandardizeResult(matrix=z, zero_variance_cols=zero_cols)
 
 
 @dataclass(frozen=True)

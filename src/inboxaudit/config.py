@@ -71,6 +71,10 @@ class AuditConfig:
             raise ConfigError("peak_sigma must be positive")
         if self.decomposition_period < 2:
             raise ConfigError("decomposition_period must be >= 2")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if self.pca_components < 0:
+            raise ConfigError("pca_components must be >= 0")
         if not (0.0 < self.pca_variance_threshold <= 1.0):
             raise ConfigError("pca_variance_threshold must be in (0, 1]")
         try:
@@ -109,13 +113,6 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 
 def _coerce(key: str, value: str, target_type: type) -> object:
     try:
-        if target_type is bool:
-            lowered = value.lower()
-            if lowered in ("1", "true", "yes"):
-                return True
-            if lowered in ("0", "false", "no"):
-                return False
-            raise ValueError(value)
         return target_type(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key}: {value!r}") from exc

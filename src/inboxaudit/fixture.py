@@ -17,7 +17,7 @@ import numpy as np
 
 from .classify.rules import LABELS
 from .cluster import kmeans
-from .stats import (
+from .stats.core import (
     ContingencyTable,
     chi_squared_independence,
     descriptive,

@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .authlineage import ProvenanceLabel
 from .corpus.eml import UNMATCHED, EmailRecord
-from .stats import pearson, spearman
+from .stats.core import pearson, spearman
 
 UNROUTED = "unrouted"
 

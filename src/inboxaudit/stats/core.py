@@ -83,15 +83,6 @@ class ContingencyTable:
                           if j not in keep_c],
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "row_labels": self.row_labels,
-            "col_labels": self.col_labels,
-            "counts": self.counts,
-            "dropped_rows": self.dropped_rows,
-            "dropped_cols": self.dropped_cols,
-        }
-
 
 def _moments(values: Sequence[float]) -> tuple[float, float, float, float]:
     n = len(values)
@@ -168,16 +159,6 @@ class ParetoTable:
             return 0.0
         k = min(k, len(self.entries))
         return self.entries[k - 1].cumulative_share
-
-    def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "entries": [
-                {"name": e.name, "value": e.value, "share": e.share,
-                 "cumulative_share": e.cumulative_share}
-                for e in self.entries
-            ],
-        }
 
 
 def pareto(values: Sequence[tuple[str, float]]) -> ParetoTable:

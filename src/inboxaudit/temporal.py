@@ -26,9 +26,6 @@ class DailySeries:
     values: list[float]
     day0: date
 
-    def __len__(self) -> int:
-        return len(self.values)
-
     def dates(self) -> list[date]:
         return [self.day0 + timedelta(days=i) for i in range(len(self.values))]
 
@@ -46,7 +43,6 @@ class Decomposition:
     trend: list[float]     # nan where the centered window is undefined
     seasonal: list[float]
     residual: list[float]  # nan outside the trend's support
-    period: int
     seasonal_variance_share: float
 
 
@@ -146,7 +142,6 @@ def decompose_additive(series: DailySeries, period: int = 7) -> Decomposition:
         trend=[float(v) for v in trend],
         seasonal=[float(v) for v in seasonal],
         residual=[float(v) for v in residual],
-        period=period,
         seasonal_variance_share=share,
     )
 

@@ -98,6 +98,8 @@ def test_bad_coercion_is_config_error():
     ({"pca_variance_threshold": "1.2"}, "pca_variance_threshold"),
     ({"audit_timezone": "Mars/Olympus"}, "audit_timezone"),
     ({"audit_timezone": "../etc/localtime"}, "audit_timezone"),
+    ({"seed": "-1"}, "seed"),
+    ({"pca_components": "-1"}, "pca_components"),
 ])
 def test_validation_rejections(values, needle):
     with pytest.raises(ConfigError, match=needle):

@@ -1,10 +1,9 @@
-"""Inter-rater reliability: Cohen's kappa and rater matrices."""
+"""Inter-rater reliability: Cohen's kappa."""
 
 import numpy as np
 import pytest
 
-from inboxaudit.classify.irr import (InsufficientRatersError, RaterMatrix,
-                                     cohens_kappa, pairwise_irr)
+from inboxaudit.classify.irr import cohens_kappa
 
 
 def kappa_oracle(a, b):
@@ -61,38 +60,3 @@ def test_kappa_matches_oracle(seed):
     b = [labels[i] if rng.random() > 0.4 else a[j]
          for j, i in enumerate(rng.integers(0, 3, n))]
     assert cohens_kappa(a, b) == pytest.approx(kappa_oracle(a, b), abs=1e-9)
-
-
-def test_rater_matrix_and_pairwise(tmp_path):
-    path = tmp_path / "ratings.csv"
-    path.write_text(
-        "item,alice,bob,machine\n"
-        "m1,promotional,promotional,promotional\n"
-        "m2,crm,crm,promotional\n"
-        "m3,alert,alert,alert\n"
-        "m4,crm,promotional,crm\n")
-    matrix = RaterMatrix.load(path)
-    assert matrix.items == ["m1", "m2", "m3", "m4"]
-    result = pairwise_irr(matrix, machine_rater="machine")
-    human = cohens_kappa(matrix.labels["alice"], matrix.labels["bob"])
-    assert result["human_human_mean"] == pytest.approx(human)
-    machine_pairs = [
-        cohens_kappa(matrix.labels["alice"], matrix.labels["machine"]),
-        cohens_kappa(matrix.labels["bob"], matrix.labels["machine"]),
-    ]
-    assert result["machine_human_mean"] == pytest.approx(
-        sum(machine_pairs) / 2)
-    assert len(result["pairs"]) == 3
-
-
-def test_pairwise_needs_two_raters(tmp_path):
-    path = tmp_path / "ratings.csv"
-    path.write_text("item,machine\nm1,crm\n")
-    matrix = RaterMatrix.load(path)
-    with pytest.raises(InsufficientRatersError):
-        pairwise_irr(matrix, machine_rater="machine")
-
-
-def test_rater_matrix_rejects_ragged():
-    with pytest.raises(ValueError):
-        RaterMatrix(items=["m1", "m2"], labels={"a": ["x"], "b": ["x", "y"]})

@@ -258,6 +258,37 @@ def test_unknown_set_key_is_config_error(synth_corpus, tmp_path):
     assert "config error" in result.output
 
 
+def test_set_without_equals_is_config_error(synth_corpus, tmp_path):
+    result = CliRunner().invoke(
+        main, ["report", *cli_args(synth_corpus, tmp_path), "--set", "foo"])
+    assert result.exit_code == 2
+    assert "config error: --set expects KEY=VALUE" in result.output
+    assert isinstance(result.exception, SystemExit)  # no uncaught traceback
+
+
+@pytest.mark.parametrize("table", [
+    '{"version": 1}',
+    '{"classes": {"promotional": {"patterns": [{"pattern": "(unclosed", '
+    '"weight": 1}]}}}',
+    '{"classes": {"promotional": {"patterns": [{"weight": 1}]}}}',
+    '[]',
+    '{"classes": {"promotional": {"tokens": {"sale": "heavy"}}}}',
+])
+def test_malformed_rule_table_is_input_error(synth_corpus, tmp_path, table):
+    path = tmp_path / "bad_rules.json"
+    path.write_text(table, encoding="utf-8")
+    runner = CliRunner()
+    assert runner.invoke(
+        main, ["ingest", *cli_args(synth_corpus, tmp_path)]).exit_code == 0
+    result = runner.invoke(
+        main, ["classify", *cli_args(synth_corpus, tmp_path),
+               "--set", f"rule_table_path={path}"])
+    assert result.exit_code == 3
+    assert "input error" in result.output
+    assert "bad_rules.json" in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
 def test_bad_coercion_is_config_error(synth_corpus, tmp_path):
     result = CliRunner().invoke(
         main, ["ingest", *cli_args(synth_corpus, tmp_path),
