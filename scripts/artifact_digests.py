@@ -7,9 +7,11 @@
     diff old.txt new.txt
 
 The inputs are perfbench's three generated workloads at ``--seed``
-(``run_report``), the synthetic corpus at seed 42 (``run_report``) and the
-grid corpus (``run_ingest`` and ``run_classify``: its 500 messages span
-too few days for the analyze stage). The generators come from this
+(``run_report``), the synthetic corpus at seed 42 (``run_report``, and
+again as ``synth-staged``: ``run_ingest``, ``run_classify`` and
+``run_analyze``, each reading the previous stage's files) and the grid
+corpus (``run_ingest`` and ``run_classify``: its 500 messages span too
+few days for the analyze stage). The generators come from this
 checkout, the pipeline from whatever ``inboxaudit`` is first on the path,
 so two runs that differ only in ``PYTHONPATH`` compare two pipelines on
 the same bytes.
@@ -30,7 +32,8 @@ import gen  # noqa: E402
 
 try:
     from inboxaudit.config import build_config
-    from inboxaudit.pipeline import run_classify, run_ingest, run_report
+    from inboxaudit.pipeline import (run_analyze, run_classify, run_ingest,
+                                     run_report)
     from inboxaudit.synth import make_grid_corpus, make_synthetic_corpus
 except ModuleNotFoundError as exc:
     if not (exc.name or "").startswith("inboxaudit"):
@@ -93,6 +96,12 @@ def main() -> int:
         synth = make_synthetic_corpus(work / "synth" / "corpus", seed=42)
         run_report(_corpus_config(synth, work / "synth" / "out"))
         lines += _digests("synth", work / "synth" / "out")
+
+        cfg = _corpus_config(synth, work / "synth-staged" / "out")
+        run_ingest(cfg)
+        run_classify(cfg)
+        run_analyze(cfg)
+        lines += _digests("synth-staged", work / "synth-staged" / "out")
 
         grid = make_grid_corpus(work / "grid" / "corpus")
         cfg = _corpus_config(grid, work / "grid" / "out")

@@ -10,13 +10,14 @@ unsolicited mail (sos) apart from unauthenticated senders (uuss).
 
 from __future__ import annotations
 
-import csv
 import ipaddress
 import re
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
+
+from .formats import read_table
 
 # verdict enums
 PASS, FAIL, NONE, ABSENT = "pass", "fail", "none", "absent"
@@ -162,6 +163,10 @@ def normalize_service_token(service_name: str) -> str:
     return "".join(ch for ch in service_name.lower() if ch.isalnum())
 
 
+_ORG_MAP_COLUMNS = ("service_name", "accepted_domains",
+                    "accepted_asn_org_substrings")
+
+
 class ServiceOrgMap:
     """service → accepted from-domains and accepted ASN organization substrings.
 
@@ -179,24 +184,17 @@ class ServiceOrgMap:
 
     @classmethod
     def load(cls, path: str | Path) -> "ServiceOrgMap":
+        """From a CSV table with one row per service; the domains and the
+        organization substrings are ';'-separated lists."""
         domains: dict[str, set[str]] = {}
         orgs: dict[str, list[str]] = {}
-        with Path(path).open(newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            required = {"service_name", "accepted_domains",
-                        "accepted_asn_org_substrings"}
-            if reader.fieldnames is None or not required <= set(reader.fieldnames):
-                raise ValueError(f"{path}: need columns {sorted(required)}")
-            for rownum, row in enumerate(reader, start=2):
-                if None in row.values():
-                    raise ValueError(f"{path}: row {rownum}: short row")
-                name = row["service_name"].strip()
-                domains[name] = {d.strip().lower()
-                                 for d in row["accepted_domains"].split(";")
-                                 if d.strip()}
-                orgs[name] = [s.strip().lower()
-                              for s in row["accepted_asn_org_substrings"].split(";")
-                              if s.strip()]
+        for _, row in read_table(path, _ORG_MAP_COLUMNS, unique="service_name"):
+            name = row["service_name"]
+            domains[name] = {d.strip() for d in row["accepted_domains"].split(";")
+                             if d.strip()}
+            orgs[name] = [s.strip()
+                          for s in row["accepted_asn_org_substrings"].split(";")
+                          if s.strip()]
         return cls(domains, orgs)
 
     def domains_for(self, service_name: str) -> set[str] | None:

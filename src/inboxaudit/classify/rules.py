@@ -52,19 +52,9 @@ class Classification:
         if self.source not in (SOURCE_RULES, SOURCE_EXTERNAL):
             raise ValueError(f"bad source: {self.source!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "confidence": self.confidence,
-            "rationale": self.rationale,
-            "source": self.source,
-            "retries": self.retries,
-            "flags": list(self.flags),
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "Classification":
-        """Inverse of to_dict; ``retries`` and ``flags`` may be missing."""
+        """A record as JSON encodes it; ``retries`` and ``flags`` may be missing."""
         return cls(label=d["label"], confidence=d["confidence"],
                    rationale=d["rationale"], source=d["source"],
                    retries=d.get("retries", 0), flags=tuple(d.get("flags", ())))

@@ -7,13 +7,14 @@ provenance anchor for every message in the corpus.
 
 from __future__ import annotations
 
-import csv
 import logging
 import re
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 from typing import Iterable, Iterator
+
+from ..formats import read_table
 
 log = logging.getLogger(__name__)
 
@@ -64,15 +65,6 @@ class AliasEntry:
                 f"got {self.service_kind}"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "local_part": self.local_part,
-            "index": self.index,
-            "service_name": self.service_name,
-            "service_kind": self.service_kind,
-            "registration_date": self.registration_date.isoformat(),
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "AliasEntry":
         return cls(
@@ -92,14 +84,6 @@ def generate_alias(name_seed: str, index: int, domain: str) -> str:
     if not (_MIN_INDEX <= index <= _MAX_INDEX):
         raise ValueError(f"alias index out of range 0-149: {index}")
     return f"{name_seed}{index:03d}@{domain}"
-
-
-def parse_alias_local(local_part: str) -> tuple[str, int] | None:
-    """Split a local part into (name_seed, index); None when not alias-shaped."""
-    m = _LOCAL_RE.match(local_part)
-    if not m:
-        return None
-    return m.group(1), int(m.group(2))
 
 
 class AliasRegistry:
@@ -133,31 +117,24 @@ _REQUIRED_COLUMNS = ("local_part", "index", "service_name", "service_kind",
 
 
 def load_alias_registry(path: str | Path) -> AliasRegistry:
-    """Load the registry from a delimited text file with a header row."""
-    path = Path(path)
+    """Load the registry from a CSV table (see ``formats.read_table``)."""
     entries: list[AliasEntry] = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            log.warning("empty alias registry: %s", path)
-            return AliasRegistry([])
-        missing = [c for c in _REQUIRED_COLUMNS if c not in reader.fieldnames]
-        if missing:
-            raise RegistryParseError(f"{path}: missing columns {missing}")
-        for rownum, row in enumerate(reader, start=2):
-            try:
-                entries.append(AliasEntry(
-                    local_part=row["local_part"].strip().lower(),
-                    index=int(row["index"]),
-                    service_name=row["service_name"].strip(),
-                    service_kind=row["service_kind"].strip(),
-                    registration_date=date.fromisoformat(
-                        row["registration_date"].strip()),
-                ))
-            except RegistryIntegrityError:
-                raise
-            except (KeyError, TypeError, ValueError, AttributeError) as exc:
-                raise RegistryParseError(f"{path}: row {rownum}: {exc}") from exc
+    for rownum, row in read_table(path, _REQUIRED_COLUMNS,
+                                  error=RegistryParseError):
+        where = f"{path}: row {rownum}"
+        try:
+            entries.append(AliasEntry(
+                local_part=row["local_part"].lower(), index=int(row["index"]),
+                service_name=row["service_name"],
+                service_kind=row["service_kind"],
+                registration_date=date.fromisoformat(row["registration_date"])))
+        except RegistryIntegrityError as exc:
+            raise RegistryIntegrityError(f"{where}: {exc}") from exc
+        except ValueError as exc:
+            raise RegistryParseError(f"{where}: {exc}") from exc
     if not entries:
         log.warning("alias registry has no rows: %s", path)
-    return AliasRegistry(entries)
+    try:
+        return AliasRegistry(entries)
+    except RegistryIntegrityError as exc:
+        raise RegistryIntegrityError(f"{path}: {exc}") from exc

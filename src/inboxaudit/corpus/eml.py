@@ -78,25 +78,6 @@ class EmailRecord:
             return self.alias.service_name
         return UNMATCHED
 
-    def to_dict(self) -> dict:
-        return {
-            "message_id": self.message_id,
-            "alias": self.alias.to_dict() if isinstance(self.alias, AliasEntry)
-                     else UNMATCHED,
-            "from_address": self.from_address,
-            "from_root_domain": self.from_root_domain,
-            "received_utc": self.received_utc.isoformat()
-                            if self.received_utc else None,
-            "received_local": self.received_local.isoformat()
-                              if self.received_local else None,
-            "sender_ip": self.sender_ip,
-            "spf": self.spf,
-            "dkim": self.dkim,
-            "subject": self.subject,
-            "body_text": self.body_text,
-            "parse_status": self.parse_status,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "EmailRecord":
         alias = d["alias"]

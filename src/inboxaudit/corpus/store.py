@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -10,6 +9,7 @@ from pathlib import Path
 from typing import Iterable
 from zoneinfo import ZoneInfo
 
+from ..formats import read_jsonl, write_jsonl
 from .aliases import AliasRegistry
 from .eml import PARSE_OK, PARSE_UNPARSEABLE, UNMATCHED, EmailRecord, parse_eml
 
@@ -25,15 +25,6 @@ class IngestReport:
     unparseable: int = 0
     unmatched: int = 0
     duplicates: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "files": self.files,
-            "ok": self.ok,
-            "unparseable": self.unparseable,
-            "unmatched": self.unmatched,
-            "duplicates": self.duplicates,
-        }
 
 
 @dataclass
@@ -97,23 +88,9 @@ def ingest_corpus(directory: str | Path,
 
 
 def write_corpus_jsonl(store: CorpusStore, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        for rec in store.records:
-            fh.write(json.dumps(rec.to_dict(), ensure_ascii=False,
-                                sort_keys=True) + "\n")
+    write_jsonl(path, store.records)
 
 
 def read_corpus_jsonl(path: str | Path) -> CorpusStore:
-    records: list[EmailRecord] = []
-    with Path(path).open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(EmailRecord.from_dict(json.loads(line)))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad corpus line: {exc}") from exc
-    return CorpusStore.from_records(records)
+    return CorpusStore.from_records(read_jsonl(path, "corpus",
+                                               EmailRecord.from_dict))

@@ -8,7 +8,6 @@ The table's rows and analyze's per-company rows share one shape,
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -17,6 +16,7 @@ import numpy as np
 
 from .classify.rules import LABELS
 from .cluster import kmeans
+from .formats import read_table
 from .stats.core import (
     ContingencyTable,
     chi_squared_independence,
@@ -46,38 +46,30 @@ class FixtureIntegrityError(ValueError):
     pass
 
 
+# CompanyRow's fields, in order
+_TABLE_COLUMNS = ("root_domain", "sector", "cluster", "total", "promotional",
+                  "crm", "alert")
+
+
 def load_fixture_table(path: str | Path | None = None) -> list[CompanyRow]:
-    if path is None:
-        text = resources.files("inboxaudit").joinpath(
-            "fixtures/appendix_table.csv").read_text(encoding="utf-8")
-    else:
-        text = Path(path).read_text(encoding="utf-8")
+    source = path if path is not None else resources.files("inboxaudit").joinpath(
+        "fixtures/appendix_table.csv")
     rows: list[CompanyRow] = []
-    reader = csv.DictReader(text.splitlines())
-    for rownum, raw in enumerate(reader, start=2):
+    for rownum, cells in read_table(source, _TABLE_COLUMNS):
         try:
-            if None in raw.values():
-                raise ValueError("short row")
-            row = CompanyRow(
-                company=raw["root_domain"].strip(),
-                sector=raw["sector"].strip(),
-                cluster=int(raw["cluster"]),
-                total=int(raw["total"]),
-                promotional=int(raw["promotional"]),
-                crm=int(raw["crm"]),
-                alert=int(raw["alert"]),
-            )
-        except (KeyError, ValueError) as exc:
+            row = CompanyRow(cells["root_domain"], cells["sector"],
+                             *(int(cells[c]) for c in _TABLE_COLUMNS[2:]))
+        except ValueError as exc:
             raise FixtureIntegrityError(
-                f"{path or 'bundled table'}: row {rownum}: {exc}") from exc
+                f"{source}: row {rownum}: {exc}") from exc
         if min(row.total, row.promotional, row.crm, row.alert) < 0:
-            raise FixtureIntegrityError(f"negative count in row {row.company}")
+            raise FixtureIntegrityError(f"{source}: row {rownum}: negative count")
         rows.append(row)
     if path is None and len(rows) != EXPECTED_ROWS:
         raise FixtureIntegrityError(
             f"bundled table must have {EXPECTED_ROWS} rows, found {len(rows)}")
     if not rows:
-        raise FixtureIntegrityError("fixture table is empty")
+        raise FixtureIntegrityError(f"{source}: fixture table is empty")
     return rows
 
 

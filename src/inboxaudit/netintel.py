@@ -124,13 +124,19 @@ class AsnTable:
 def _snapshot_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
     """(line number, cells) of each TSV or CSV row but blank and '#' lines.
     Only a line with a quote needs ``csv.reader``; any other is split."""
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(),
-                                 start=1):
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SnapshotParseError(f"{path}: not UTF-8: {exc}") from exc
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
             delim = "\t" if "\t" in line else ","
-            cells = (next(csv.reader([line], delimiter=delim)) if '"' in line
-                     else line.split(delim))
+            try:
+                cells = (next(csv.reader([line], delimiter=delim)) if '"' in line
+                         else line.split(delim))
+            except csv.Error as exc:
+                raise SnapshotParseError(f"{path}: row {lineno}: {exc}") from exc
             yield lineno, [cell.strip() for cell in cells]
 
 

@@ -14,6 +14,7 @@ import csv
 import json
 import logging
 from collections import Counter
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from .corpus.aliases import load_alias_registry
 from .corpus.store import (CorpusStore, ingest_corpus, read_corpus_jsonl,
                            write_corpus_jsonl)
 from .fixture import CompanyRow, sector_contingency, sector_groups
+from .formats import read_jsonl, read_table, write_jsonl
 from .netintel import (AsnTable, MessageRow, asn_volume_concentration,
                        build_sender_profiles, flag_marketing_asn,
                        ip_hopping_correlation, is_internal_hop,
@@ -101,17 +103,8 @@ def _load_rule_table(cfg: AuditConfig) -> RuleTable:
 def _load_sector_map(path: str | None) -> dict[str, str]:
     if not path:
         return {}
-    sectors: dict[str, str] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"root_domain", "sector"} <= set(
-                reader.fieldnames):
-            raise ValueError(f"{path}: need root_domain and sector columns")
-        for rownum, row in enumerate(reader, start=2):
-            if None in row.values():
-                raise ValueError(f"{path}: row {rownum}: short row")
-            sectors[row["root_domain"].strip().lower()] = row["sector"].strip()
-    return sectors
+    return {row["root_domain"].lower(): row["sector"] for _, row in read_table(
+        path, ("root_domain", "sector"), unique="root_domain")}
 
 
 def run_ingest(cfg: AuditConfig) -> tuple[dict, CorpusStore]:
@@ -122,7 +115,7 @@ def run_ingest(cfg: AuditConfig) -> tuple[dict, CorpusStore]:
                                   audit_timezone=cfg.audit_timezone,
                                   trusted_mx=cfg.trusted_mx)
     write_corpus_jsonl(store, out / CORPUS_FILE)
-    payload = report.to_dict()
+    payload = asdict(report)
     _write_json(out / INGEST_REPORT_FILE, payload)
     log.info("ingested %d files: %d ok, %d unparseable, %d unmatched",
              report.files, report.ok, report.unparseable, report.unmatched)
@@ -146,10 +139,9 @@ def run_classify(cfg: AuditConfig, store: CorpusStore | None = None
     results = classify_records(store.records, cfg.classifier,
                                cfg=cfg.adapter, table=table)
 
-    with (out / CLASSIFICATIONS_FILE).open("w", encoding="utf-8") as fh:
-        for message_id in sorted(results):
-            entry = {"message_id": message_id, **results[message_id].to_dict()}
-            fh.write(json.dumps(entry, sort_keys=True, ensure_ascii=False) + "\n")
+    write_jsonl(out / CLASSIFICATIONS_FILE,
+                ({"message_id": message_id, **vars(results[message_id])}
+                 for message_id in sorted(results)))
 
     counts = dict.fromkeys(LABELS, 0)
     fallbacks = 0
@@ -173,19 +165,8 @@ def run_classify(cfg: AuditConfig, store: CorpusStore | None = None
 
 def _load_classifications(cfg: AuditConfig) -> dict[str, Classification]:
     path = _upstream(cfg, CLASSIFICATIONS_FILE, "classifications", "classify")
-    results: dict[str, Classification] = {}
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line)
-                results[entry["message_id"]] = Classification.from_dict(entry)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(
-                    f"{path}:{lineno}: bad classification line: {exc}"
-                ) from exc
-    return results
+    return dict(read_jsonl(path, "classification", lambda entry: (
+        entry["message_id"], Classification.from_dict(entry))))
 
 
 def _resolve_sector(rows: list[MessageRow], sector_map: dict[str, str]) -> str:

@@ -14,7 +14,6 @@ sweeps the full verdict/domain/ASN grid for taxonomy totality checks.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from email.message import EmailMessage
@@ -22,6 +21,9 @@ from email.utils import format_datetime
 from pathlib import Path
 
 import numpy as np
+
+from .corpus.aliases import expected_kind, generate_alias
+from .formats import write_jsonl
 
 AUDIT_DOMAIN = "audit.example"
 TRUSTED_MX = "mx.audit.example"
@@ -33,7 +35,7 @@ def render_eml(*, to_addr: str, from_addr: str, date: datetime, subject: str,
                body: str, message_id: str, trusted_mx: str = TRUSTED_MX,
                sender_ip: str | None = None, sender_host: str = "out.sender.example",
                spf: str | None = "pass", dkim: str | None = "pass",
-               dkim_domain: str | None = None, html_body: str | None = None) -> bytes:
+               html_body: str | None = None) -> bytes:
     """Compose one EML byte stream with a controlled trusted-hop Received
     header and Authentication-Results verdicts (None omits the mechanism)."""
     msg = EmailMessage()
@@ -50,7 +52,7 @@ def render_eml(*, to_addr: str, from_addr: str, date: datetime, subject: str,
     if spf is not None:
         mechanisms.append(f"spf={spf} smtp.mailfrom={from_addr}")
     if dkim is not None:
-        domain = dkim_domain or from_addr.rsplit("@", 1)[-1]
+        domain = from_addr.rsplit("@", 1)[-1]
         mechanisms.append(f"dkim={dkim} header.d={domain}")
     if mechanisms:
         msg["Authentication-Results"] = f"{trusted_mx}; " + "; ".join(mechanisms)
@@ -111,7 +113,6 @@ class ServiceSpec:
     index: int
     root_domain: str
     sector: str
-    asn_org: str
     ips: list[str]
     weekly_pattern: list[int]          # mails per day-of-week, 0=Monday
     hours: list[int]                   # send-hour cycle
@@ -139,68 +140,62 @@ _IP2ASN_ROWS = [
 
 def _services() -> list[ServiceSpec]:
     return [
-        ServiceSpec("shopzilla", 0, "shopzilla.com", "E-tailer", "SENDGRID",
+        ServiceSpec("shopzilla", 0, "shopzilla.com", "E-tailer",
                     [f"167.89.1.{i}" for i in range(1, 9)],
                     [7, 8, 7, 6, 4, 2, 1], [23, 0, 0, 1, 0],
                     ["promotional"] * 6 + ["crm"] + ["promotional"] * 5 + ["alert"],
                     [12, 9, 15, 7, 11, 8, 14, 6]),
-        ServiceSpec("dealdepot", 1, "dealdepot.com", "E-tailer", "SALESFORCE",
+        ServiceSpec("dealdepot", 1, "dealdepot.com", "E-tailer",
                     [f"13.111.5.{i}" for i in range(1, 7)],
                     [6, 7, 6, 5, 3, 1, 1], [0, 1, 23, 0],
                     ["promotional"] * 7 + ["crm"],
                     [10, 8, 9, 12, 7, 6]),
-        ServiceSpec("petplace", 7, "petplace.com", "Brick and Mortar", "SENDGRID",
+        ServiceSpec("petplace", 7, "petplace.com", "Brick and Mortar",
                     ["167.89.2.1", "167.89.2.2"],
                     [0, 1, 0, 0, 0, 0, 0], [10],
                     ["promotional", "promotional", "crm"],
                     [3, 2]),
-        ServiceSpec("bankly", 2, "bankly.com", "Financials", "BANKLY FINANCIAL",
+        ServiceSpec("bankly", 2, "bankly.com", "Financials",
                     ["192.155.81.10"],
                     [0, 0, 1, 0, 0, 0, 0], [9],
                     ["alert"],
                     [0]),
         ServiceSpec("streamflix", 3, "streamflix.com", "Online Entertainment",
-                    "AMAZON-02",
                     ["52.89.10.1", "52.89.10.2"],
                     [0, 0, 0, 1, 0, 0, 0], [11],
                     ["crm", "crm", "alert"],
                     [2, 1]),
         ServiceSpec("chatterbox", 4, "chatterbox.com", "Communication Platforms",
-                    "GOOGLE",
                     ["35.190.3.1", "35.190.3.2"],
                     [0, 1, 0, 0, 0, 0, 0], [8],
                     ["crm"],
                     [1, 0]),
         ServiceSpec("wishmart", 5, "wishmart.com", "Online Marketplace",
-                    "WISHMART NETWORKS",
                     ["199.87.241.1", "199.87.241.2", "199.87.241.3"],
                     [1, 0, 1, 0, 0, 0, 0], [9, 10],
                     ["promotional", "promotional", "promotional", "crm", "crm"],
                     [4, 3, 2]),
         ServiceSpec("linkhub", 6, "linkhub.com", "Communication Platforms",
-                    "LINKHUB CORP",
                     ["108.174.4.1", "108.174.4.2"],
                     [0, 1, 0, 0, 0, 0, 0], [10],
                     ["crm", "crm", "alert"],
                     [2, 1]),
         ServiceSpec("fitpulse", 100, "fitpulse.com", "Digital Services",
-                    "MAILGUN TECHNOLOGIES",
                     ["159.135.228.1", "159.135.228.2", "159.135.228.3"],
                     [0, 1, 0, 1, 0, 0, 0], [9],
                     ["promotional", "crm"],
                     [5, 3, 2]),
-        ServiceSpec("newsly", 101, "newsly.com", "Digital Services", "SPARKPOST",
+        ServiceSpec("newsly", 101, "newsly.com", "Digital Services",
                     ["147.253.210.1", "147.253.210.2"],
                     [0, 0, 1, 0, 0, 0, 0], [8],
                     ["crm"],
                     [1, 1]),
         ServiceSpec("gamerden", 102, "gamerden.com", "Online Entertainment",
-                    "RACKSPACE",
                     ["166.78.8.1", "166.78.8.2"],
                     [0, 0, 0, 0, 1, 0, 0], [11],
                     ["promotional", "crm"],
                     [2, 1]),
-        ServiceSpec("craftyard", 8, "craftyard.com", "Omnichannel", "",
+        ServiceSpec("craftyard", 8, "craftyard.com", "Omnichannel",
                     ["91.203.4.1", "91.203.4.2"],  # absent from the ASN snapshot
                     [1, 0, 0, 0, 0, 0, 0], [10],
                     ["crm", "promotional", "alert"],
@@ -224,17 +219,18 @@ class SynthCorpus:
     expected: dict
 
 
-def _alias_local(index: int) -> str:
-    return f"{_WORDS[index % len(_WORDS)]}{index:03d}"
+def _alias(index: int) -> str:
+    return generate_alias(_WORDS[index % len(_WORDS)], index, AUDIT_DOMAIN)
 
 
 def _write_registry(path: Path, specs: list[ServiceSpec]) -> None:
     lines = ["local_part,index,service_name,service_kind,registration_date"]
     entries = [(s.name, s.index) for s in specs] + _SILENT_SERVICES
     for name, index in sorted(entries, key=lambda e: e[1]):
-        kind = "online_service" if index < 100 else "mobile_app"
+        local_part = _alias(index).partition("@")[0]
         reg = (_BASE_DATE - timedelta(days=30) + timedelta(days=index)).date()
-        lines.append(f"{_alias_local(index)},{index},{name},{kind},{reg.isoformat()}")
+        lines.append(f"{local_part},{index},{name},{expected_kind(index)},"
+                     f"{reg.isoformat()}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -301,7 +297,7 @@ def make_synthetic_corpus(out_dir: str | Path, seed: int = 42,
         return "pass", "pass"
 
     for spec in specs:
-        to_addr = f"{_alias_local(spec.index)}@{AUDIT_DOMAIN}"
+        to_addr = _alias(spec.index)
         sent = 0
         for day in range(n_days):
             date = _BASE_DATE + timedelta(days=day)
@@ -336,7 +332,7 @@ def make_synthetic_corpus(out_dir: str | Path, seed: int = 42,
                                      ("pass", "none")]):
         stamp = _BASE_DATE + timedelta(days=10 + i * 9, hours=3)
         raw = render_eml(
-            to_addr=f"{_alias_local(craftyard.index)}@{AUDIT_DOMAIN}",
+            to_addr=_alias(craftyard.index),
             from_addr="deals@bulkblast.biz",
             date=stamp,
             subject="You won a free gift card, claim now",
@@ -468,9 +464,7 @@ def make_grid_corpus(out_dir: str | Path, n_messages: int = 500) -> SynthCorpus:
         })
 
     expectations_path = root / "expectations.jsonl"
-    with expectations_path.open("w", encoding="utf-8") as fh:
-        for entry in expectations:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+    write_jsonl(expectations_path, expectations)
 
     return SynthCorpus(root=root, eml_dir=eml_dir, registry_path=registry_path,
                        ip2asn_path=ip2asn_path, abuse_path=abuse_path,

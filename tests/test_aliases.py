@@ -1,5 +1,6 @@
 """Alias scheme and registry behavior."""
 
+import json
 from datetime import date
 
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 from inboxaudit.corpus.aliases import (AliasEntry, AliasRegistry,
                                        RegistryIntegrityError,
                                        RegistryParseError, generate_alias,
-                                       load_alias_registry, parse_alias_local)
+                                       load_alias_registry)
+from inboxaudit.formats import json_default
 
 REG_DATE = date(2024, 1, 1)
 
@@ -24,8 +26,8 @@ def entry(local, index, name="svc", kind=None):
 def test_generate_and_parse_round_trip():
     address = generate_alias("maple", 7, "audit.example")
     assert address == "maple007@audit.example"
-    seed, index = parse_alias_local(address.split("@")[0])
-    assert (seed, index) == ("maple", 7)
+    reg = AliasRegistry([entry(address.split("@")[0], 7)])
+    assert reg.match("maple007").index == 7
 
 
 @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=12),
@@ -33,7 +35,9 @@ def test_generate_and_parse_round_trip():
 def test_alias_round_trip_property(seed, index):
     address = generate_alias(seed, index, "audit.example")
     local = address.split("@")[0]
-    assert parse_alias_local(local) == (seed, index)
+    reg = AliasRegistry([entry(local, index)])
+    assert reg.match(local.upper()) == reg.entries[0]
+    assert reg.entries[0].index == index
 
 
 def test_generate_rejects_bad_seeds():
@@ -113,6 +117,25 @@ def test_load_registry_errors(tmp_path):
     assert "row 2" in str(err.value)
 
 
+def test_load_registry_errors_name_file_and_row(tmp_path):
+    path = tmp_path / "reg.csv"
+    path.write_text(
+        "local_part,index,service_name,service_kind,registration_date\n"
+        "maple007,107,shopzilla,mobile_app,2024-01-01\n")
+    with pytest.raises(RegistryIntegrityError) as err:
+        load_alias_registry(path)
+    assert str(err.value) == (f"{path}: row 2: local part 'maple007' encodes "
+                              "index 007, registry says 107")
+
+
+def test_load_registry_without_header_is_parse_error(tmp_path):
+    # a zero-byte registry used to load as empty, leaving all mail unmatched
+    path = tmp_path / "reg.csv"
+    path.write_bytes(b"")
+    with pytest.raises(RegistryParseError, match="missing columns"):
+        load_alias_registry(path)
+
+
 def test_load_registry_empty_warns(tmp_path, caplog):
     path = tmp_path / "empty.csv"
     path.write_text(
@@ -125,4 +148,5 @@ def test_load_registry_empty_warns(tmp_path, caplog):
 
 def test_round_trip_dict():
     e = entry("maple007", 7, name="shopzilla")
-    assert AliasEntry.from_dict(e.to_dict()) == e
+    line = json.dumps(e, default=json_default)
+    assert AliasEntry.from_dict(json.loads(line)) == e

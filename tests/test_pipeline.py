@@ -424,6 +424,83 @@ def test_short_csv_row_is_input_error(staged, synth_corpus, tmp_path, key,
     assert isinstance(result.exception, SystemExit)  # no uncaught traceback
 
 
+_TABLE_HEADERS = {
+    "registry_path": b"local_part,index,service_name,service_kind,"
+                     b"registration_date\n",
+    "org_map_path": b"service_name,accepted_domains,"
+                    b"accepted_asn_org_substrings\n",
+    "sector_map_path": b"root_domain,sector\n",
+    "ip2asn_path": b"",
+    "abuse_path": b"",
+    "table": b"root_domain,sector,cluster,total,promotional,crm,alert\n",
+}
+
+
+def invoke_with_input(staged, synth_corpus, tmp_path, key, path):
+    """Run the command that reads input ``key``, with ``path`` as that input."""
+    if key == "table":
+        return CliRunner().invoke(main, ["fixture-check", "--table", str(path)])
+    if key == "registry_path":
+        return CliRunner().invoke(main, ["ingest",
+                                         *cli_args(synth_corpus, tmp_path),
+                                         "--registry", str(path)])
+    out, _ = staged
+    for name in ("corpus.jsonl", "classifications.jsonl"):
+        shutil.copy(out / name, tmp_path / name)
+    return CliRunner().invoke(main, ["analyze", *cli_args(synth_corpus, tmp_path),
+                                     "--set", f"{key}={path}"])
+
+
+@pytest.mark.parametrize("key", list(_TABLE_HEADERS))
+@pytest.mark.parametrize("body,names_row", [
+    (b'"' + b"x" * 200_000 + b'",1,ORG\n', True),
+    (b"caf\xe9.example,1,ORG\n", False),
+], ids=["oversized_cell", "non_utf8"])
+def test_unreadable_input_cell_is_input_error(staged, synth_corpus, tmp_path,
+                                              key, body, names_row):
+    bad = tmp_path / "unreadable.csv"
+    bad.write_bytes(_TABLE_HEADERS[key] + body)
+    result = invoke_with_input(staged, synth_corpus, tmp_path, key, bad)
+    assert result.exit_code == 3, result.output
+    assert "input error" in result.output
+    assert "unreadable.csv" in result.output
+    if names_row:
+        row = 1 if not _TABLE_HEADERS[key] else 2
+        assert f"row {row}:" in result.output
+    assert isinstance(result.exception, SystemExit)  # no uncaught traceback
+
+
+@pytest.mark.parametrize("key,text", [
+    ("org_map_path", "service_name,accepted_domains,accepted_asn_org_substrings\n"
+                     "wishmart,wishmart.com,wishmart networks\n"
+                     "Wishmart,wishmart-mail.com,\n"),
+    ("sector_map_path", "root_domain,sector\n"
+                        "shopzilla.com,E-tailer\n"
+                        "Shopzilla.com,Financials\n"),
+], ids=["org_map", "sector_map"])
+def test_repeated_table_key_is_input_error(staged, synth_corpus, tmp_path, key,
+                                           text):
+    repeated = tmp_path / "repeated.csv"
+    repeated.write_text(text, encoding="utf-8")
+    result = invoke_with_input(staged, synth_corpus, tmp_path, key, repeated)
+    assert result.exit_code == 3, result.output
+    assert "repeated.csv: rows 2 and 3: repeated" in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("key", ["registry_path", "org_map_path",
+                                 "sector_map_path", "table"])
+def test_table_without_header_is_input_error(staged, synth_corpus, tmp_path,
+                                             key):
+    # a zero-byte registry used to pass with every message unmatched
+    empty = tmp_path / "empty.csv"
+    empty.write_bytes(b"")
+    result = invoke_with_input(staged, synth_corpus, tmp_path, key, empty)
+    assert result.exit_code == 3, result.output
+    assert "empty.csv: missing columns" in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
 def test_short_series_is_infeasible(tmp_path):
     # three days of mail: ingestable, but far too short for a spectrum
     from datetime import datetime, timezone
