@@ -5,6 +5,12 @@ alternating pairs.
     python3 scripts/bench_pairs.py --base ../parent \\
         --workload paper_inbox --seed 707 --pairs 10 --out BENCH_6.json
 
+Run both sides from fresh clones (``git clone``): this script from a
+clone of the change, ``--base`` a clone of the parent beside it. The
+same commit has read ``paper_inbox`` ``wall_s`` 13.5% slower from a
+long-used working checkout than from a fresh clone, a gap that followed
+the directory (its cause was not isolated), while two fresh clones tied.
+
 Each pair runs ``perfbench/run.py`` once in each checkout, as it is in
 that checkout and with its own run length; even pairs run the base
 first, odd pairs this checkout (the change). The

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .formats import read_table
 
@@ -205,8 +205,17 @@ class ServiceOrgMap:
         return self._orgs.get(service_name.lower(), [])
 
 
+def org_matches(organization: str | None, substrings: Iterable[str]) -> bool:
+    """Does the ASN organization contain one of the lowercased
+    ``substrings``, case-insensitively?"""
+    if not organization:
+        return False
+    org = organization.lower()
+    return any(sub in org for sub in substrings)
+
+
 def domain_matches_service(from_root_domain: str, service_name: str,
-                           org_map: ServiceOrgMap | None = None) -> bool:
+                           org_map: ServiceOrgMap) -> bool:
     """Does the from-domain correspond to the alias's service?
 
     Prefers the explicit org map; otherwise the registrable domain's
@@ -215,25 +224,20 @@ def domain_matches_service(from_root_domain: str, service_name: str,
     if not from_root_domain:
         return False
     domain = from_root_domain.lower()
-    if org_map is not None:
-        accepted = org_map.domains_for(service_name)
-        if accepted is not None:
-            return domain in accepted
+    accepted = org_map.domains_for(service_name)
+    if accepted is not None:
+        return domain in accepted
     token = normalize_service_token(service_name)
     return bool(token) and domain.split(".")[0] == token
 
 
 def asn_is_own_org(asn_organization: str | None, service_name: str,
-                   org_map: ServiceOrgMap | None) -> bool:
-    if not asn_organization or org_map is None:
-        return False
-    org = asn_organization.lower()
-    return any(sub in org for sub in org_map.org_substrings_for(service_name))
+                   org_map: ServiceOrgMap) -> bool:
+    return org_matches(asn_organization, org_map.org_substrings_for(service_name))
 
 
-def classify_provenance(record, *, asn=None,
+def classify_provenance(record, *, org_map: ServiceOrgMap, asn=None,
                         marketing_flag: bool = False,
-                        org_map: ServiceOrgMap | None = None,
                         cloud_flag: bool = False,
                         content_label: str | None = None) -> ProvenanceLabel:
     """Provenance + spam label for one record.
@@ -245,8 +249,7 @@ def classify_provenance(record, *, asn=None,
     alias = record.alias
     flags: list[str] = []
 
-    unmatched = alias is None or isinstance(alias, str)
-    if unmatched:
+    if isinstance(alias, str):      # UNMATCHED
         provenance = UTP
     else:
         service = alias.service_name

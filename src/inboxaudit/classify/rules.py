@@ -53,11 +53,10 @@ class Classification:
             raise ValueError(f"bad source: {self.source!r}")
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Classification":
-        """A record as JSON encodes it; ``retries`` and ``flags`` may be missing."""
-        return cls(label=d["label"], confidence=d["confidence"],
-                   rationale=d["rationale"], source=d["source"],
-                   retries=d.get("retries", 0), flags=tuple(d.get("flags", ())))
+    def from_dict(cls, entry: dict) -> "Classification":
+        """A record as JSON encodes it; ``retries`` and ``flags`` may be
+        missing, and an unknown key raises."""
+        return cls(**{**entry, "flags": tuple(entry.get("flags", ()))})
 
 
 Rule = tuple[str, re.Pattern, float, str | None]

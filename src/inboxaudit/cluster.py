@@ -77,36 +77,20 @@ def build_features(by_service: dict[str, list], profiles) -> FeatureMatrix:
                          no_content_companies=flagged)
 
 
-@dataclass
-class StandardizeResult:
-    matrix: np.ndarray
-    zero_variance_cols: list[int]
-
-
-def standardize(matrix: np.ndarray) -> StandardizeResult:
+def standardize(matrix: np.ndarray) -> np.ndarray:
     """Column z-scores (population stddev); constant columns become zeros."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] < 2:
         raise ValueError("standardize needs a 2-d matrix with >= 2 rows")
     means = matrix.mean(axis=0)
     stds = matrix.std(axis=0)
-    zero_cols = [int(i) for i in np.flatnonzero(stds == 0.0)]
-    safe = np.where(stds == 0.0, 1.0, stds)
-    z = (matrix - means) / safe
-    z[:, stds == 0.0] = 0.0
-    if zero_cols:
-        log.info("standardize: %d zero-variance columns zeroed", len(zero_cols))
-    return StandardizeResult(matrix=z, zero_variance_cols=zero_cols)
-
-
-@dataclass(frozen=True)
-class FixedComponents:
-    n: int
-
-
-@dataclass(frozen=True)
-class VarianceThreshold:
-    ratio: float
+    constant = stds == 0.0
+    z = (matrix - means) / np.where(constant, 1.0, stds)
+    z[:, constant] = 0.0
+    if constant.any():
+        log.info("standardize: %d zero-variance columns zeroed",
+                 int(constant.sum()))
+    return z
 
 
 @dataclass
@@ -120,10 +104,9 @@ class PcaModel:
         return (np.asarray(matrix, dtype=float) - self.mean) @ self.components.T
 
 
-def pca_fit(matrix: np.ndarray,
-            target: FixedComponents | VarianceThreshold = FixedComponents(5)
-            ) -> PcaModel:
-    """Principal axes of the centered data via covariance eigendecomposition.
+def pca_fit(matrix: np.ndarray, n_components: int = 5) -> PcaModel:
+    """The first ``n_components`` principal axes of the centered data via
+    covariance eigendecomposition.
 
     Population covariance (divide by n); each component's sign is fixed
     so its largest-magnitude entry is positive. Requests beyond the data
@@ -132,6 +115,8 @@ def pca_fit(matrix: np.ndarray,
     x = np.asarray(matrix, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("pca_fit needs a 2-d matrix with >= 2 rows")
+    if n_components < 1:
+        raise ValueError(f"pca_fit needs >= 1 component, got {n_components}")
     n = x.shape[0]
     mean = x.mean(axis=0)
     centered = x - mean
@@ -145,21 +130,11 @@ def pca_fit(matrix: np.ndarray,
     rank = int((eigenvalues > max(total, 1.0) * 1e-12).sum())
     rank = max(rank, 1)
 
-    if isinstance(target, FixedComponents):
-        m = target.n
-        if m > rank:
-            log.warning("pca: requested %d components, data rank %d; clamping",
-                        m, rank)
-            m = rank
-    elif isinstance(target, VarianceThreshold):
-        if not (0.0 < target.ratio <= 1.0):
-            raise ValueError(f"variance threshold out of (0,1]: {target.ratio}")
-        cumulative = np.cumsum(eigenvalues) / total if total > 0 else eigenvalues
-        m = int(np.searchsorted(cumulative, target.ratio) + 1)
-        m = min(m, rank)
-    else:
-        raise TypeError(f"bad pca target: {target!r}")
-    m = max(m, 1)
+    m = n_components
+    if m > rank:
+        log.warning("pca: requested %d components, data rank %d; clamping",
+                    m, rank)
+        m = rank
 
     components = eigenvectors[:, :m].T.copy()
     for i in range(m):
@@ -176,7 +151,6 @@ def pca_fit(matrix: np.ndarray,
 @dataclass
 class KmeansResult:
     labels: np.ndarray
-    centroids: np.ndarray
     inertia: float
     inertia_history: list[float]  # per Lloyd iteration of the winning restart
 
@@ -200,7 +174,7 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
 
 
 def _lloyd(x: np.ndarray, centroids: np.ndarray
-           ) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
+           ) -> tuple[np.ndarray, float, list[float]]:
     n, k = x.shape[0], centroids.shape[0]
     labels = np.full(n, -1)
     history: list[float] = []
@@ -222,7 +196,7 @@ def _lloyd(x: np.ndarray, centroids: np.ndarray
     dists = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     labels = dists.argmin(axis=1)
     inertia = float(dists[np.arange(n), labels].sum())
-    return labels, centroids, inertia, history
+    return labels, inertia, history
 
 
 def kmeans(matrix: np.ndarray, k: int, seed: int = DEFAULT_SEED,
@@ -236,11 +210,10 @@ def kmeans(matrix: np.ndarray, k: int, seed: int = DEFAULT_SEED,
     rng = np.random.default_rng(seed)
     best: KmeansResult | None = None
     for _ in range(max(1, restarts)):
-        centroids = _kmeans_pp_init(x, k, rng)
-        labels, centroids, inertia, history = _lloyd(x, centroids.copy())
+        labels, inertia, history = _lloyd(x, _kmeans_pp_init(x, k, rng))
         if best is None or inertia < best.inertia:
-            best = KmeansResult(labels=labels, centroids=centroids,
-                                inertia=inertia, inertia_history=history)
+            best = KmeansResult(labels=labels, inertia=inertia,
+                                inertia_history=history)
     assert best is not None
     return best
 
@@ -275,9 +248,7 @@ def silhouette(matrix: np.ndarray, labels: np.ndarray) -> float:
 class SelectionResult:
     k: int
     labels: np.ndarray
-    centroids: np.ndarray
     silhouette: float
-    inertia: float
     per_k_silhouette: dict[int, float]
     clamped: bool = False
 
@@ -302,12 +273,9 @@ def select_k(matrix: np.ndarray, k_min: int = 2, k_max: int = 10,
         score = silhouette(x, result.labels)
         per_k[k] = score
         if best is None or score > best.silhouette:
-            best = SelectionResult(k=k, labels=result.labels,
-                                   centroids=result.centroids,
-                                   silhouette=score, inertia=result.inertia,
+            best = SelectionResult(k=k, labels=result.labels, silhouette=score,
                                    per_k_silhouette=per_k, clamped=clamped)
     assert best is not None
-    best.per_k_silhouette = per_k
     return best
 
 

@@ -42,7 +42,6 @@ class AuditConfig:
     peak_sigma: float = 2.0
     decomposition_period: int = 7
     pca_components: int = 5
-    pca_variance_threshold: float = 0.80
     k_min: int = 2
     k_max: int = 10
     kmeans_restarts: int = 10
@@ -73,10 +72,8 @@ class AuditConfig:
             raise ConfigError("decomposition_period must be >= 2")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        if self.pca_components < 0:
-            raise ConfigError("pca_components must be >= 0")
-        if not (0.0 < self.pca_variance_threshold <= 1.0):
-            raise ConfigError("pca_variance_threshold must be in (0, 1]")
+        if self.pca_components < 1:
+            raise ConfigError("pca_components must be >= 1")
         try:
             ZoneInfo(self.audit_timezone)
         except (ZoneInfoNotFoundError, ValueError) as exc:
@@ -94,7 +91,7 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

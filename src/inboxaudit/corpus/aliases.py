@@ -14,7 +14,7 @@ from datetime import date
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from ..formats import read_table
+from ..formats import ascii_decimal, read_table
 
 log = logging.getLogger(__name__)
 
@@ -66,14 +66,9 @@ class AliasEntry:
             )
 
     @classmethod
-    def from_dict(cls, d: dict) -> "AliasEntry":
-        return cls(
-            local_part=d["local_part"],
-            index=int(d["index"]),
-            service_name=d["service_name"],
-            service_kind=d["service_kind"],
-            registration_date=date.fromisoformat(d["registration_date"]),
-        )
+    def from_dict(cls, entry: dict) -> "AliasEntry":
+        return cls(**{**entry, "registration_date":
+                      date.fromisoformat(entry["registration_date"])})
 
 
 def generate_alias(name_seed: str, index: int, domain: str) -> str:
@@ -124,7 +119,8 @@ def load_alias_registry(path: str | Path) -> AliasRegistry:
         where = f"{path}: row {rownum}"
         try:
             entries.append(AliasEntry(
-                local_part=row["local_part"].lower(), index=int(row["index"]),
+                local_part=row["local_part"].lower(),
+                index=ascii_decimal(row["index"], "index"),
                 service_name=row["service_name"],
                 service_kind=row["service_kind"],
                 registration_date=date.fromisoformat(row["registration_date"])))

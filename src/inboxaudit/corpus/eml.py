@@ -79,26 +79,15 @@ class EmailRecord:
         return UNMATCHED
 
     @classmethod
-    def from_dict(cls, d: dict) -> "EmailRecord":
-        alias = d["alias"]
+    def from_dict(cls, entry: dict) -> "EmailRecord":
+        """A record as `formats.write_jsonl` encodes it, with one key per
+        field; an unknown or missing key raises."""
+        alias = entry["alias"]
         if isinstance(alias, dict):
             alias = AliasEntry.from_dict(alias)
-        return cls(
-            message_id=d["message_id"],
-            alias=alias,
-            from_address=d["from_address"],
-            from_root_domain=d["from_root_domain"],
-            received_utc=datetime.fromisoformat(d["received_utc"])
-                         if d["received_utc"] else None,
-            received_local=datetime.fromisoformat(d["received_local"])
-                           if d["received_local"] else None,
-            sender_ip=d["sender_ip"],
-            spf=d["spf"],
-            dkim=d["dkim"],
-            subject=d["subject"],
-            body_text=d["body_text"],
-            parse_status=d["parse_status"],
-        )
+        dates = {name: datetime.fromisoformat(entry[name]) if entry[name]
+                 else None for name in ("received_utc", "received_local")}
+        return cls(**{**entry, **dates, "alias": alias})
 
 
 class _TextExtractor(HTMLParser):

@@ -1,7 +1,8 @@
 """The file formats at the pipeline's edges: every hand-kept CSV input
 table is read by ``read_table``, and every JSONL artifact is written by
 ``write_jsonl``, which encodes a record field by field (``json_default``),
-and read back by ``read_jsonl``.
+and read back by ``read_jsonl``. A number cell of a table or snapshot is
+read by ``ascii_decimal``.
 """
 
 from __future__ import annotations
@@ -53,6 +54,14 @@ def read_table(source, columns: Sequence[str], *, unique: str | None = None,
         raise error(f"{source}: row {reader.reader.line_num}: {exc}") from exc
 
 
+def ascii_decimal(cell: str, what: str) -> int:
+    """``cell`` read as ASCII decimal digits; ``int`` alone would also take
+    a sign, underscores and non-ASCII digits."""
+    if not (cell.isascii() and cell.isdigit()):
+        raise ValueError(f"{what} {cell!r} is not a decimal number")
+    return int(cell)
+
+
 def json_default(obj):
     """``json`` hook: a date or datetime as ISO 8601, a dataclass as its fields."""
     if isinstance(obj, date):
@@ -74,9 +83,9 @@ def write_jsonl(path: str | Path, items: Iterable) -> None:
 
 
 def read_jsonl(path: str | Path, what: str, decode: Callable) -> list:
-    """``decode`` of each non-blank line's JSON value. A line that does not
-    decode raises ``ValueError`` naming the file, the line and ``what``;
-    bytes that are not UTF-8 raise one naming the file."""
+    """``decode`` of each non-blank line's JSON object. A line that is not
+    an object or does not decode raises ``ValueError`` naming the file, the
+    line and ``what``; bytes that are not UTF-8 raise one naming the file."""
     items = []
     try:
         with Path(path).open(encoding="utf-8") as fh:
@@ -84,7 +93,10 @@ def read_jsonl(path: str | Path, what: str, decode: Callable) -> list:
                 if not line.strip():
                     continue
                 try:
-                    items.append(decode(json.loads(line)))
+                    entry = json.loads(line)
+                    if not isinstance(entry, dict):
+                        raise TypeError("not a JSON object")
+                    items.append(decode(entry))
                 except (KeyError, TypeError, ValueError) as exc:
                     raise ValueError(
                         f"{path}:{lineno}: bad {what} line: {exc}") from exc

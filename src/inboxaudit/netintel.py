@@ -27,8 +27,9 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .authlineage import ProvenanceLabel
+from .authlineage import ProvenanceLabel, org_matches
 from .corpus.eml import UNMATCHED, EmailRecord
+from .formats import ascii_decimal
 from .stats.core import pearson, spearman
 
 UNROUTED = "unrouted"
@@ -121,14 +122,17 @@ class AsnTable:
         return None
 
 
+def _read_utf8(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SnapshotParseError(f"{path}: not UTF-8: {exc}") from exc
+
+
 def _snapshot_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
     """(line number, cells) of each TSV or CSV row but blank and '#' lines.
     Only a line with a quote needs ``csv.reader``; any other is split."""
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise SnapshotParseError(f"{path}: not UTF-8: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_read_utf8(path).splitlines(), start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
             delim = "\t" if "\t" in line else ","
@@ -143,18 +147,10 @@ def _snapshot_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
 _MAX_ASN = 2**32 - 1  # ASNs are unsigned 32-bit numbers (RFC 6793)
 
 
-def _decimal(cell: str, what: str) -> int:
-    """``cell`` read as ASCII decimal digits; ``int`` alone would also take
-    a sign, underscores and non-ASCII digits."""
-    if not (cell.isascii() and cell.isdigit()):
-        raise ValueError(f"{what} {cell!r} is not a decimal number")
-    return int(cell)
-
-
 def _parse_asn(cell: str) -> int:
     if cell[:2].isascii() and cell[:2].upper() == "AS":
         cell = cell[2:]
-    asn = _decimal(cell, "asn")
+    asn = ascii_decimal(cell, "asn")
     if asn > _MAX_ASN:
         raise ValueError(f"asn {asn} outside 0-{_MAX_ASN}")
     return asn
@@ -204,18 +200,15 @@ def is_internal_hop(ip: str) -> bool:
 
 
 def flag_marketing_asn(record: AsnRecord | None, provider_list: list[str]) -> bool:
-    """Case-insensitive substring match of the ASN organization against
-    lowercased, non-empty entries, as `load_provider_list` gives them."""
-    if record is None or not record.organization:
-        return False
-    org = record.organization.lower()
-    return any(p in org for p in provider_list)
+    """`org_matches` of the ASN organization against the lowercased,
+    non-empty entries `load_provider_list` gives."""
+    return record is not None and org_matches(record.organization, provider_list)
 
 
 def load_provider_list(path: str | Path) -> list[str]:
     """One organization substring per line, lowercased; '#' comments allowed."""
     entries: list[str] = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in _read_utf8(path).splitlines():
         line = raw.split("#", 1)[0].strip()
         if line:
             entries.append(line.lower())
@@ -231,7 +224,7 @@ def load_abuse_reports(path: str | Path) -> dict[str, int]:
             if len(cells) < 2:
                 raise ValueError("expected ip, total_reports")
             ip = str(ipaddress.ip_address(cells[0]))
-            count = _decimal(cells[1], "report count")
+            count = ascii_decimal(cells[1], "report count")
         except ValueError as exc:
             raise SnapshotParseError(f"{path}: row {lineno}: {exc}") from exc
         reports[ip] = reports.get(ip, 0) + count

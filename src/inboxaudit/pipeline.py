@@ -24,9 +24,8 @@ from .authlineage import ServiceOrgMap, classify_provenance
 from .classify.adapter import classify_records
 from .classify.rules import (LABELS, Classification, RuleTable,
                              default_rule_table)
-from .cluster import (FEATURE_NAMES, FixedComponents, VarianceThreshold,
-                      build_features, loadings_report, pca_fit, select_k,
-                      standardize)
+from .cluster import (FEATURE_NAMES, build_features, loadings_report, pca_fit,
+                      select_k, standardize)
 from .config import AuditConfig
 from .corpus.aliases import load_alias_registry
 from .corpus.store import (CorpusStore, ingest_corpus, read_corpus_jsonl,
@@ -166,7 +165,7 @@ def run_classify(cfg: AuditConfig, store: CorpusStore | None = None
 def _load_classifications(cfg: AuditConfig) -> dict[str, Classification]:
     path = _upstream(cfg, CLASSIFICATIONS_FILE, "classifications", "classify")
     return dict(read_jsonl(path, "classification", lambda entry: (
-        entry["message_id"], Classification.from_dict(entry))))
+        entry.pop("message_id"), Classification.from_dict(entry))))
 
 
 def _resolve_sector(rows: list[MessageRow], sector_map: dict[str, str]) -> str:
@@ -179,7 +178,7 @@ def _resolve_sector(rows: list[MessageRow], sector_map: dict[str, str]) -> str:
 
 
 def enrich(store: CorpusStore, asn_table: AsnTable, providers: list[str],
-           clouds: list[str], org_map: ServiceOrgMap | None,
+           clouds: list[str], org_map: ServiceOrgMap,
            classifications: dict[str, Classification]) -> list[MessageRow]:
     """One row per parsed message, in corpus order: the one place a
     message's sender IP is looked up, its content label read and its
@@ -255,7 +254,8 @@ def run_analyze(cfg: AuditConfig, store: CorpusStore | None = None,
     abuse = load_abuse_reports(cfg.abuse_path) if cfg.abuse_path else {}
     providers = _load_providers(cfg.provider_list_path, "marketing_providers.txt")
     clouds = _load_providers(cfg.cloud_list_path, "cloud_providers.txt")
-    org_map = ServiceOrgMap.load(cfg.org_map_path) if cfg.org_map_path else None
+    org_map = (ServiceOrgMap.load(cfg.org_map_path) if cfg.org_map_path
+               else ServiceOrgMap())
     sector_map = _load_sector_map(cfg.sector_map_path)
 
     rows = enrich(store, asn_table, providers, clouds, org_map, classifications)
@@ -301,12 +301,8 @@ def run_analyze(cfg: AuditConfig, store: CorpusStore | None = None,
     # clustering artifacts
     features = build_features(by_service, profiles)
     standardized = standardize(features.matrix)
-    if cfg.pca_components:
-        target = FixedComponents(cfg.pca_components)
-    else:
-        target = VarianceThreshold(cfg.pca_variance_threshold)
-    pca = pca_fit(standardized.matrix, target)
-    scores = pca.transform(standardized.matrix)
+    pca = pca_fit(standardized, cfg.pca_components)
+    scores = pca.transform(standardized)
     selection = select_k(scores, k_min=cfg.k_min, k_max=cfg.k_max,
                          seed=cfg.seed, restarts=cfg.kmeans_restarts)
 

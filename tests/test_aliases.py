@@ -108,13 +108,16 @@ def test_load_registry_errors(tmp_path):
     with pytest.raises(RegistryParseError):
         load_alias_registry(missing_col)
 
-    bad_row = tmp_path / "bad2.csv"
-    bad_row.write_text(
-        "local_part,index,service_name,service_kind,registration_date\n"
-        "maple007,seven,shopzilla,online_service,2024-01-01\n")
-    with pytest.raises(RegistryParseError) as err:
-        load_alias_registry(bad_row)
-    assert "row 2" in str(err.value)
+    # the index cell must be ASCII decimal digits, as snapshot numbers are
+    for index in ("seven", "0_07", "+7", " 7e0", "\u0667"):
+        bad_row = tmp_path / "bad2.csv"
+        bad_row.write_text(
+            "local_part,index,service_name,service_kind,registration_date\n"
+            f"maple007,{index},shopzilla,online_service,2024-01-01\n",
+            encoding="utf-8")
+        with pytest.raises(RegistryParseError) as err:
+            load_alias_registry(bad_row)
+        assert f"{bad_row}: row 2: index" in str(err.value)
 
 
 def test_load_registry_errors_name_file_and_row(tmp_path):

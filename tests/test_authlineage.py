@@ -18,6 +18,7 @@ from inboxaudit.netintel import AsnRecord
 ALIAS = AliasEntry(local_part="maple007", index=7, service_name="shopzilla",
                    service_kind="online_service",
                    registration_date=date(2024, 1, 1))
+NO_MAP = ServiceOrgMap()
 
 
 def record(alias=ALIAS, domain="shopzilla.com", spf="pass", dkim="pass"):
@@ -99,10 +100,10 @@ def test_org_map_load_and_lookup(tmp_path):
 
 
 def test_domain_matching_fallback_is_leftmost_label():
-    assert domain_matches_service("shopzilla.com", "shopzilla", None)
-    assert not domain_matches_service("other.com", "shopzilla", None)
+    assert domain_matches_service("shopzilla.com", "shopzilla", NO_MAP)
+    assert not domain_matches_service("other.com", "shopzilla", NO_MAP)
     # normalization strips spaces and punctuation from the service name
-    assert domain_matches_service("dealdepot.com", "Deal Depot", None)
+    assert domain_matches_service("dealdepot.com", "Deal Depot", NO_MAP)
 
 
 def test_domain_matching_org_map_wins(tmp_path):
@@ -125,17 +126,18 @@ def test_asn_own_org(tmp_path):
     assert asn_is_own_org("WISHMART NETWORKS INC", "wishmart", org)
     assert not asn_is_own_org("SENDGRID", "wishmart", org)
     assert not asn_is_own_org(None, "wishmart", org)
+    assert not asn_is_own_org("WISHMART NETWORKS INC", "wishmart", NO_MAP)
 
 
 # ------------------------------------------------------------------ taxonomy
 
 def test_unmatched_is_utp_uuss():
-    label = classify_provenance(record(alias=UNMATCHED))
+    label = classify_provenance(record(alias=UNMATCHED), org_map=NO_MAP)
     assert (label.provenance, label.spam) == ("utp", "uuss")
 
 
 def test_domain_mismatch_is_utp_even_when_authenticated():
-    label = classify_provenance(record(domain="bulkblast.biz"))
+    label = classify_provenance(record(domain="bulkblast.biz"), org_map=NO_MAP)
     assert (label.provenance, label.spam) == ("utp", "uuss")
 
 
@@ -153,7 +155,8 @@ def test_own_asn_is_internal_suppresses_sos_for_alerts():
 
 def test_auth_pass_third_party_is_atp():
     asn = AsnRecord(11377, "SENDGRID")
-    label = classify_provenance(record(), asn=asn, marketing_flag=True,
+    label = classify_provenance(record(), asn=asn, org_map=NO_MAP,
+                                marketing_flag=True,
                                 content_label="promotional")
     assert (label.provenance, label.spam) == ("atp", "sos")
     assert "operator_unknown" not in label.flags
@@ -161,19 +164,20 @@ def test_auth_pass_third_party_is_atp():
 
 def test_cloud_atp_gets_operator_unknown():
     asn = AsnRecord(16509, "AMAZON-02")
-    label = classify_provenance(record(), asn=asn, cloud_flag=True,
+    label = classify_provenance(record(), asn=asn, org_map=NO_MAP,
+                                cloud_flag=True,
                                 content_label="crm")
     assert label.provenance == "atp"
     assert "operator_unknown" in label.flags
 
 
 def test_auth_fail_matched_domain_is_utp():
-    label = classify_provenance(record(spf="none", dkim="none"))
+    label = classify_provenance(record(spf="none", dkim="none"), org_map=NO_MAP)
     assert (label.provenance, label.spam) == ("utp", "uuss")
 
 
 def test_double_fail_flags_needs_review():
-    label = classify_provenance(record(spf="fail", dkim="fail"))
+    label = classify_provenance(record(spf="fail", dkim="fail"), org_map=NO_MAP)
     assert label.spam == "uuss"
     assert "needs_review" in label.flags
 
@@ -189,7 +193,8 @@ def test_internal_double_fail_is_uuss():
 
 
 def test_alert_content_is_never_sos():
-    label = classify_provenance(record(), content_label="alert")
+    label = classify_provenance(record(), org_map=NO_MAP,
+                                content_label="alert")
     assert label.spam == "not_spam"
 
 

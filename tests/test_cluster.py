@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 import inboxaudit.cluster as cluster_mod
-from inboxaudit.cluster import (FEATURE_NAMES, FixedComponents,
-                                InsufficientCompaniesError, VarianceThreshold,
+from inboxaudit.cluster import (FEATURE_NAMES, InsufficientCompaniesError,
                                 build_features, kmeans, loadings_report,
                                 pca_fit, select_k, silhouette, standardize)
 
@@ -74,12 +73,10 @@ def test_standardize_population_zscores():
     rng = np.random.default_rng(1)
     x = rng.normal(5, 3, size=(20, 4))
     x[:, 2] = 7.0  # constant column
-    result = standardize(x)
-    z = result.matrix
+    z = standardize(x)
     assert np.allclose(z.mean(axis=0), 0.0, atol=1e-12)
     assert np.allclose(z[:, [0, 1, 3]].std(axis=0), 1.0)  # population convention
     assert np.all(z[:, 2] == 0.0)
-    assert result.zero_variance_cols == [2]
     with pytest.raises(ValueError):
         standardize(x[:1])
 
@@ -92,7 +89,7 @@ def blobs(rng, centers, per=8, spread=0.1):
 def test_pca_orthonormal_and_svd_oracle():
     rng = np.random.default_rng(2)
     x = rng.normal(0, 1, size=(30, 6)) * np.array([5, 3, 2, 1, 0.5, 0.1])
-    pca = pca_fit(x, FixedComponents(4))
+    pca = pca_fit(x, 4)
     c = pca.components
     assert c.shape == (4, 6)
     assert np.allclose(c @ c.T, np.eye(4), atol=1e-10)
@@ -111,31 +108,13 @@ def test_pca_orthonormal_and_svd_oracle():
 
 def test_pca_clamps_beyond_rank():
     x = np.array([[0.0, 0, 0, 0, 0], [1, 1, 0, 0, 0], [2, 0, 1, 0, 0]])
-    pca = pca_fit(x, FixedComponents(5))
+    pca = pca_fit(x, 5)
     assert pca.components.shape[0] == 2  # 3 points span a plane
 
 
-def test_pca_variance_threshold_minimal():
-    rng = np.random.default_rng(3)
-    x = rng.normal(0, 1, size=(40, 5)) * np.array([10, 5, 2, 1, 0.5])
-    full = pca_fit(x, FixedComponents(5))
-    eigen = np.array(full.eigenvalues)
-    cumulative = np.cumsum(eigen) / eigen.sum()
-    for ratio in (0.5, 0.8, 0.95, 1.0):
-        pca = pca_fit(x, VarianceThreshold(ratio))
-        m = pca.components.shape[0]
-        assert cumulative[m - 1] >= ratio - 1e-12
-        assert m == 1 or cumulative[m - 2] < ratio
-
-
 def test_pca_rejects_bad_targets():
-    x = np.eye(3)
     with pytest.raises(ValueError):
-        pca_fit(x, VarianceThreshold(0.0))
-    with pytest.raises(ValueError):
-        pca_fit(x, VarianceThreshold(1.5))
-    with pytest.raises(TypeError):
-        pca_fit(x, target="3")
+        pca_fit(np.eye(3), 0)
 
 
 def test_kmeans_recovers_blobs_and_is_deterministic():
@@ -245,7 +224,7 @@ def test_select_k_clamps_to_row_count():
 def test_loadings_report_shape():
     rng = np.random.default_rng(11)
     x = blobs(rng, [[0, 0, 0], [5, 5, 5]], per=6, spread=0.2)
-    pca = pca_fit(x, FixedComponents(2))
+    pca = pca_fit(x, 2)
     scores = pca.transform(x)
     selection = select_k(scores, k_min=2, k_max=3, seed=2)
     report = loadings_report(pca, selection, ["f0", "f1", "f2"], scores, top_n=2)

@@ -100,6 +100,7 @@ def test_bad_coercion_is_config_error():
     ({"audit_timezone": "../etc/localtime"}, "audit_timezone"),
     ({"seed": "-1"}, "seed"),
     ({"pca_components": "-1"}, "pca_components"),
+    ({"pca_components": "0"}, "pca_components"),
 ])
 def test_validation_rejections(values, needle):
     with pytest.raises(ConfigError, match=needle):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from inboxaudit.authlineage import classify_provenance
+from inboxaudit.authlineage import ServiceOrgMap, classify_provenance
 from inboxaudit.classify.rules import SOURCE_EXTERNAL, Classification
 from inboxaudit.corpus.aliases import AliasEntry, AliasRegistry
 from inboxaudit.corpus.eml import (_DATE_HEADERS, _PLAIN_FORMS, PARSE_OK,
@@ -218,6 +218,12 @@ def test_round_trip_classification_dict():
                          source=SOURCE_EXTERNAL, retries=2,
                          flags=("adapter_fallback",))
     assert Classification.from_dict(encoded(cls)) == cls
+    # retries and flags keep their defaults when the line lacks them
+    plain = {"label": "crm", "confidence": 4, "rationale": "order update",
+             "source": SOURCE_EXTERNAL}
+    assert Classification.from_dict(plain) == Classification(**plain)
+    with pytest.raises(TypeError):
+        Classification.from_dict({**plain, "message_id": "m@x"})
 
 
 # --- decoding matches a full policy.default parse -------------------------
@@ -469,7 +475,8 @@ def test_foreign_auth_results_is_not_trusted(registry):
                b" dkim=pass header.d=shopzilla.com"})
     rec = parse_eml(raw, registry, trusted_mx=TRUSTED)
     assert (rec.spf, rec.dkim) == ("absent", "absent")
-    assert classify_provenance(rec).provenance == "utp"
+    assert classify_provenance(
+        rec, org_map=ServiceOrgMap()).provenance == "utp"
     # without a trusted host, the topmost header is read
     assert parse_eml(raw, registry, trusted_mx="").spf == "pass"
 

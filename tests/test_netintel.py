@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from inboxaudit import netintel
+from inboxaudit.authlineage import ServiceOrgMap
 from inboxaudit.corpus.aliases import load_alias_registry
 from inboxaudit.corpus.eml import PARSE_OK, UNMATCHED, EmailRecord
 from inboxaudit.corpus.store import CorpusStore, ingest_corpus
@@ -396,7 +397,7 @@ def test_enrich_skips_internal_even_if_covered(tmp_path):
     assert table.lookup("10.0.0.1") is not None
     store = CorpusStore.from_records([unmatched_record("a", "10.0.0.1"),
                                       unmatched_record("b", "8.8.8.8")])
-    internal, routed = enrich(store, table, [], [], None, {})
+    internal, routed = enrich(store, table, [], [], ServiceOrgMap(), {})
     assert internal.ip is None and internal.asn is None
     assert routed.ip == "8.8.8.8"
     assert routed.asn.organization == "EVERYTHING"
@@ -460,7 +461,7 @@ def synth_profiles(synth_corpus):
     table = load_ip2asn(synth_corpus.ip2asn_path)
     abuse = load_abuse_reports(synth_corpus.abuse_path)
     providers = load_provider_list(_bundled("marketing_providers.txt"))
-    rows = enrich(store, table, providers, [], None, {})
+    rows = enrich(store, table, providers, [], ServiceOrgMap(), {})
     profiles, flows = build_sender_profiles(rows_by_service(rows), abuse)
     return store, report, profiles, flows, abuse
 

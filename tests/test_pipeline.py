@@ -266,6 +266,29 @@ def test_set_without_equals_is_config_error(synth_corpus, tmp_path):
     assert isinstance(result.exception, SystemExit)  # no uncaught traceback
 
 
+def test_non_utf8_config_file_is_config_error(synth_corpus, tmp_path):
+    config = tmp_path / "bad.cfg"
+    config.write_bytes(b"peak_sigma=2.0\n# caf\xe9\n")
+    result = CliRunner().invoke(
+        main, ["ingest", *cli_args(synth_corpus, tmp_path),
+               "--config", str(config)])
+    assert result.exit_code == 2, result.output
+    assert "config error: cannot read config file" in result.output
+    assert "bad.cfg" in result.output
+    assert isinstance(result.exception, SystemExit)  # no uncaught traceback
+
+
+def test_removed_pca_variance_threshold_is_config_error(synth_corpus, tmp_path):
+    config = tmp_path / "old.cfg"
+    config.write_text("pca_components=0\npca_variance_threshold=0.8\n")
+    result = CliRunner().invoke(
+        main, ["ingest", *cli_args(synth_corpus, tmp_path),
+               "--config", str(config)])
+    assert result.exit_code == 2, result.output
+    assert "config error: unknown config key: 'pca_variance_threshold'" \
+        in result.output
+
+
 @pytest.mark.parametrize("table", [
     '{"version": 1}',
     '{"classes": {"promotional": {"patterns": [{"pattern": "(unclosed", '
@@ -380,6 +403,42 @@ def test_non_object_classification_line_is_input_error(staged, synth_corpus,
     assert "classifications.jsonl:1: bad classification line" in result.output
 
 
+@pytest.mark.parametrize("edit", [
+    lambda entry: entry.update(extra=1),
+    lambda entry: entry.pop("spf"),
+    lambda entry: entry["alias"].update(extra=1),
+], ids=["unknown_key", "missing_key", "unknown_alias_key"])
+def test_stale_corpus_line_is_input_error(staged, synth_corpus, tmp_path, edit):
+    out, _ = staged
+    lines = (out / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+    entries = [json.loads(line) for line in lines]
+    i = next(i for i, entry in enumerate(entries)
+             if isinstance(entry["alias"], dict))
+    edit(entries[i])
+    lines[i] = json.dumps(entries[i])
+    (tmp_path / "corpus.jsonl").write_text("\n".join(lines) + "\n",
+                                           encoding="utf-8")
+    result = CliRunner().invoke(
+        main, ["classify", *cli_args(synth_corpus, tmp_path)])
+    assert result.exit_code == 3, result.output
+    assert f"corpus.jsonl:{i + 1}: bad corpus line" in result.output
+
+
+def test_unknown_classification_key_is_input_error(staged, synth_corpus,
+                                                   tmp_path):
+    out, _ = staged
+    shutil.copy(out / "corpus.jsonl", tmp_path / "corpus.jsonl")
+    lines = (out / "classifications.jsonl").read_text(
+        encoding="utf-8").splitlines()
+    lines[0] = json.dumps({**json.loads(lines[0]), "extra": 1})
+    (tmp_path / "classifications.jsonl").write_text("\n".join(lines) + "\n",
+                                                    encoding="utf-8")
+    result = CliRunner().invoke(
+        main, ["analyze", *cli_args(synth_corpus, tmp_path)])
+    assert result.exit_code == 3, result.output
+    assert "classifications.jsonl:1: bad classification line" in result.output
+
+
 @pytest.mark.parametrize("key,text", [
     ("ip2asn_path", "1.2.3.0/24\t1_000\tORG\n"),
     ("abuse_path", "167.89.1.1,+5\n"),
@@ -468,6 +527,18 @@ def test_unreadable_input_cell_is_input_error(staged, synth_corpus, tmp_path,
         row = 1 if not _TABLE_HEADERS[key] else 2
         assert f"row {row}:" in result.output
     assert isinstance(result.exception, SystemExit)  # no uncaught traceback
+
+
+@pytest.mark.parametrize("key", ["provider_list_path", "cloud_list_path"])
+def test_non_utf8_provider_list_is_input_error(staged, synth_corpus, tmp_path,
+                                               key):
+    bad = tmp_path / "unreadable.txt"
+    bad.write_bytes(b"sendgrid\ncaf\xe9\n")
+    result = invoke_with_input(staged, synth_corpus, tmp_path, key, bad)
+    assert result.exit_code == 3, result.output
+    assert "input error" in result.output
+    assert "unreadable.txt: not UTF-8" in result.output
+    assert isinstance(result.exception, SystemExit)
 
 
 @pytest.mark.parametrize("key,text", [
