@@ -82,23 +82,19 @@ def _authserv_id(value: str) -> str:
     return head.split()[0].lower() if head else ""
 
 
-def parse_auth_results(values: Sequence[str], trusted_mx: str = "") -> AuthVerdict:
+def parse_auth_results(values: Sequence[str], trusted_mx: str) -> AuthVerdict:
     """Verdicts from the first Authentication-Results header of the trusted host.
 
     ``values`` are the message's Authentication-Results values, topmost
     first, as `parse_eml` collects them in its one pass over the headers.
-    With ``trusted_mx`` set, a header whose authserv-id is another host's
-    can be forged by the sender, so without one from ``trusted_mx`` every
-    verdict is `absent`; without ``trusted_mx`` the topmost header is read.
+    A header whose authserv-id is another host's can be forged by the
+    sender, so without one from ``trusted_mx`` every verdict is `absent`.
     Mechanism tokens are matched case-insensitively; a mechanism that
     never appears is `absent`. Soft and permanent failures collapse to
     `fail`; neutral-ish results collapse to `none`.
     """
-    if trusted_mx:
-        trusted = trusted_mx.lower()
-        chosen = next((v for v in values if _authserv_id(v) == trusted), None)
-    else:
-        chosen = values[0] if values else None
+    trusted = trusted_mx.lower()
+    chosen = next((v for v in values if _authserv_id(v) == trusted), None)
     if chosen is None:
         return AuthVerdict()
 
@@ -138,7 +134,7 @@ def _by_host_re(trusted_mx: str) -> re.Pattern:
     return re.compile(r"\bby\s+" + re.escape(trusted_mx), re.IGNORECASE)
 
 
-def extract_sender_ip(received: Sequence[str], trusted_mx: str = "") -> str:
+def extract_sender_ip(received: Sequence[str], trusted_mx: str) -> str:
     """Connecting IP from the topmost Received header written by the trusted host.
 
     ``received`` are the message's Received values, topmost first. Only
@@ -146,10 +142,10 @@ def extract_sender_ip(received: Sequence[str], trusted_mx: str = "") -> str:
     own address is never mistaken for the sender. Returns UNKNOWN when no
     trusted hop carries a parsable bracketed literal.
     """
-    by_token = _by_host_re(trusted_mx) if trusted_mx else None
+    by_token = _by_host_re(trusted_mx)
     for value in received:
         flat = " ".join(value.split())
-        if by_token is not None and not by_token.search(flat):
+        if not by_token.search(flat):
             continue
         split = _BY_RE.split(flat, maxsplit=1)
         from_clause = split[0] if len(split) > 1 else flat

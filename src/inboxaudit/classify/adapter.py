@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import requests
 
@@ -150,14 +151,14 @@ def _post_once(session, cfg: AdapterConfig, prompt: str) -> str:
 
 
 def _post_with_retries(session, cfg: AdapterConfig, prompt: str) -> tuple[str, int]:
-    attempts = 1 + max(0, cfg.retries)
-    last_error: AdapterTransportError | None = None
-    for attempt in range(attempts):
+    """The reply and the retries it took, or the last transport error;
+    `AuditConfig.validate` keeps ``retries`` >= 0, so one attempt runs."""
+    for attempt in range(cfg.retries + 1):
         try:
             return _post_once(session, cfg, prompt), attempt
         except AdapterTransportError as exc:
             last_error = exc
-    raise last_error if last_error else AdapterTransportError("no attempts made")
+    raise last_error
 
 
 def classify_external(record, cfg: AdapterConfig, session=None) -> Classification:
@@ -189,9 +190,7 @@ def classify_with_fallback(record, cfg: AdapterConfig,
     except (AdapterTransportError, AdapterProtocolError) as exc:
         log.warning("adapter fallback for %s: %s", record.message_id, exc)
         base = classify_rule_based(record, table)
-        return Classification(label=base.label, confidence=base.confidence,
-                              rationale=base.rationale, source=base.source,
-                              flags=base.flags + ("adapter_fallback",))
+        return replace(base, flags=base.flags + ("adapter_fallback",))
 
 
 def classify_records(records, mode: str, cfg: AdapterConfig | None = None,
@@ -222,7 +221,7 @@ def classify_records(records, mode: str, cfg: AdapterConfig | None = None,
     else:
         if session is None:
             session = requests.Session()
-        with ThreadPoolExecutor(max_workers=max(1, cfg.pool_size)) as pool:
+        with ThreadPoolExecutor(max_workers=cfg.pool_size) as pool:
             futures = {text: pool.submit(
                 classify_with_fallback, r, cfg, table, session)
                 for text, r in firsts.items()}

@@ -12,13 +12,13 @@ from .config import AuditConfig, ConfigError, build_config, parse_config_file
 from .fixture import load_fixture_table, run_fixture_checks
 from .pipeline import run_analyze, run_classify, run_ingest, run_report
 from .stats.core import InsufficientDataError
-from .temporal import EmptyScopeError, InsufficientSeriesError
+from .temporal import InsufficientSeriesError
 
 EXIT_CONFIG = 2
 EXIT_INPUT = 3
 EXIT_INFEASIBLE = 4
 
-_INFEASIBLE = (InsufficientDataError, InsufficientSeriesError, EmptyScopeError,
+_INFEASIBLE = (InsufficientDataError, InsufficientSeriesError,
                InsufficientCompaniesError)
 _INPUT = (OSError, ValueError)
 

@@ -10,7 +10,7 @@ explicit seed and is deterministic for a fixed one.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,49 +32,35 @@ class InsufficientCompaniesError(ValueError):
     pass
 
 
-@dataclass
-class FeatureMatrix:
-    companies: list[str]
-    matrix: np.ndarray  # shape (n_companies, 36)
-    no_content_companies: list[str] = field(default_factory=list)
-
-
-def build_features(by_service: dict[str, list], profiles) -> FeatureMatrix:
+def build_features(by_service: dict[str, list], profiles) -> np.ndarray:
     """One 36-dim row per company, in the grouping's (name-sorted) order.
 
-    The clock comes from each company's message rows; the marketing flag,
-    content mix and total from its profile, in the same order.
+    The clock comes from each company's message rows, every one of them
+    dated; the marketing flag, content mix and total from its profile, in
+    the same order. Every row carries a content label, so each company's
+    mix sums to 1.
     """
-    companies = list(by_service)
-    if len(companies) < 2:
+    if len(by_service) < 2:
         raise InsufficientCompaniesError(
-            f"need >= 2 companies with mail, have {len(companies)}")
+            f"need >= 2 companies with mail, have {len(by_service)}")
     rows = []
-    flagged: list[str] = []
-    for (company, service_rows), profile in zip(by_service.items(), profiles,
-                                                strict=True):
+    for service_rows, profile in zip(by_service.values(), profiles,
+                                     strict=True):
         hourly = np.zeros(24)
         weekly = np.zeros(7)
         for row in service_rows:
             stamp = row.record.received_local
-            if stamp is not None:
-                hourly[stamp.hour] += 1
-                weekly[stamp.weekday()] += 1
+            hourly[stamp.hour] += 1
+            weekly[stamp.weekday()] += 1
         counts = np.array([profile.content_counts[label] for label in LABELS],
                           dtype=float)
-        if counts.sum() > 0:
-            mix = counts / counts.sum()
-        else:
-            mix = np.zeros(3)
-            flagged.append(company)
         rows.append(np.concatenate([
             hourly, weekly,
             [1.0 if profile.uses_marketing_provider else 0.0],
-            mix,
+            counts / counts.sum(),
             [float(profile.emails_total)],
         ]))
-    return FeatureMatrix(companies=companies, matrix=np.array(rows),
-                         no_content_companies=flagged)
+    return np.array(rows)
 
 
 def standardize(matrix: np.ndarray) -> np.ndarray:

@@ -60,6 +60,8 @@ class AuditConfig:
             raise ConfigError("adapter_retries must be >= 0")
         if self.adapter.pool_size < 1:
             raise ConfigError("adapter_pool_size must be >= 1")
+        if not self.trusted_mx:
+            raise ConfigError("trusted_mx must name the receiving host")
         if self.moment_convention not in ("sample", "population"):
             raise ConfigError(f"bad moment_convention: {self.moment_convention!r}")
         if not (2 <= self.k_min <= self.k_max):

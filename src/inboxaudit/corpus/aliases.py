@@ -67,6 +67,10 @@ class AliasEntry:
 
     @classmethod
     def from_dict(cls, entry: dict) -> "AliasEntry":
+        """An entry as JSON encodes it. The checks of ``__post_init__`` and
+        ``date.fromisoformat`` reject the other fields' wrong types."""
+        if not isinstance(entry["service_name"], str) or type(entry["index"]) is not int:
+            raise TypeError("alias service_name must be a string and index an integer")
         return cls(**{**entry, "registration_date":
                       date.fromisoformat(entry["registration_date"])})
 

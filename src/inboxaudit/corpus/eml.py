@@ -56,6 +56,11 @@ _RECOGNIZED_HEADERS = frozenset({
 
 _RECIPIENT_PRIORITY = ("delivered-to", "x-original-to", "to")
 
+# the record fields a corpus line holds as strings, and its two dates
+_TEXT_FIELDS = ("message_id", "from_address", "from_root_domain", "sender_ip",
+                "spf", "dkim", "subject", "body_text", "parse_status")
+_DATE_FIELDS = ("received_utc", "received_local")
+
 
 @dataclass
 class EmailRecord:
@@ -80,13 +85,26 @@ class EmailRecord:
 
     @classmethod
     def from_dict(cls, entry: dict) -> "EmailRecord":
-        """A record as `formats.write_jsonl` encodes it, with one key per
-        field; an unknown or missing key raises."""
+        """A record as `formats.write_jsonl` encodes it. An unknown or
+        missing key raises, and so does a value of the wrong type: a text
+        field that is not a string, an alias that is neither an object nor
+        UNMATCHED, dates that do not fit the parse status or lack an offset."""
+        wrong = [name for name in _TEXT_FIELDS if not isinstance(entry[name], str)]
+        if wrong:
+            raise TypeError(f"not a string: {', '.join(wrong)}")
         alias = entry["alias"]
         if isinstance(alias, dict):
             alias = AliasEntry.from_dict(alias)
-        dates = {name: datetime.fromisoformat(entry[name]) if entry[name]
-                 else None for name in ("received_utc", "received_local")}
+        elif alias != UNMATCHED:
+            raise ValueError(f"alias {alias!r} is neither an object nor {UNMATCHED}")
+        dated = entry["parse_status"] == PARSE_OK
+        if any((entry[name] is None) == dated for name in _DATE_FIELDS):
+            raise ValueError(f"{entry['parse_status']} record "
+                             f"{'without' if dated else 'with'} a date")
+        dates = {name: datetime.fromisoformat(entry[name]) if dated else None
+                 for name in _DATE_FIELDS}
+        if dated and any(stamp.tzinfo is None for stamp in dates.values()):
+            raise ValueError("a date without a UTC offset")
         return cls(**{**entry, **dates, "alias": alias})
 
 
@@ -309,13 +327,14 @@ def _unparseable(raw: bytes, subject: str = "", from_address: str = "") -> Email
     )
 
 
-def parse_eml(raw: bytes,
-              registry: AliasRegistry | None = None,
-              audit_timezone: str | tzinfo = "UTC",
-              trusted_mx: str = "") -> EmailRecord:
+def parse_eml(raw: bytes, registry: AliasRegistry,
+              audit_timezone: str | tzinfo = "UTC", *,
+              trusted_mx: str) -> EmailRecord:
     """Parse one EML byte stream into an EmailRecord (total function).
 
-    ``audit_timezone`` is a zone name or an already resolved zone.
+    ``audit_timezone`` is a zone name or an already resolved zone;
+    ``trusted_mx`` is the receiving host whose Received and
+    Authentication-Results headers are read.
     """
     if not isinstance(raw, (bytes, bytearray)):
         raise TypeError("parse_eml expects bytes")
@@ -350,12 +369,7 @@ def parse_eml(raw: bytes,
         except ValueError:
             from_root = ""
 
-    alias: AliasEntry | str = UNMATCHED
-    local = _recipient_local_part(headers)
-    if registry is not None and local:
-        matched = registry.match(local)
-        if matched is not None:
-            alias = matched
+    alias = registry.match(_recipient_local_part(headers)) or UNMATCHED
 
     received_utc = received.astimezone(timezone.utc)
     if isinstance(audit_timezone, str):

@@ -48,8 +48,8 @@ def _sort_key(rec: EmailRecord) -> tuple[datetime, str]:
 
 def ingest_corpus(directory: str | Path,
                   registry: AliasRegistry,
-                  audit_timezone: str = "UTC",
-                  trusted_mx: str = "") -> tuple[CorpusStore, IngestReport]:
+                  audit_timezone: str = "UTC", *,
+                  trusted_mx: str) -> tuple[CorpusStore, IngestReport]:
     """Parse every *.eml under ``directory`` and bind records to the registry.
 
     Deterministic regardless of filesystem order: files are visited

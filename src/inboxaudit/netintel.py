@@ -9,9 +9,10 @@ disjoint, so the rule only decides for hand-made snapshots, and a
 snapshot whose rows are disjoint is used as sorted, without the overlap
 sweep. Range ends and looked-up IPs are parsed to integers with
 ``socket.inet_pton`` (``ipaddress`` only for what it rejects, such as
-scoped IPv6 addresses, and for the error text); the rows of one
-(ASN, organization) share one ``AsnRecord``. Private and reserved source
-IPs are excluded from profiles and flow outputs as internal hops.
+scoped IPv6 addresses, and for the error text); the rows with the same
+ASN and organization cells share one ``AsnRecord``, so each distinct
+cell is parsed once. Private and reserved source IPs are excluded from
+profiles and flow outputs as internal hops.
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ def _parse_asn(cell: str) -> int:
 def load_ip2asn(path: str | Path) -> AsnTable:
     """Load an ASN snapshot: rows of CIDR or (range_start, range_end) + asn + org."""
     rows: list[tuple[int, int, int, AsnRecord]] = []
-    records: dict[tuple[int, str], AsnRecord] = {}
+    records: dict[tuple[str, str], AsnRecord] = {}  # by raw (asn, org) cells
     path = Path(path)
     for lineno, cells in _snapshot_rows(path):
         try:
@@ -181,12 +182,12 @@ def load_ip2asn(path: str | Path) -> AsnTable:
                 if first > last:
                     raise ValueError("range start is after range end")
                 asn, org = cells[2], cells[3:]
-            key = (_parse_asn(asn), ",".join(org).strip())
+            key = (asn, ",".join(org))
+            record = records.get(key)
+            if record is None:
+                record = records[key] = AsnRecord(_parse_asn(asn), key[1])
         except ValueError as exc:
             raise SnapshotParseError(f"{path}: row {lineno}: {exc}") from exc
-        record = records.get(key)
-        if record is None:
-            record = records[key] = AsnRecord(*key)
         rows.append((version, first, last, record))
     return AsnTable(rows)
 
@@ -249,7 +250,7 @@ class MessageRow(NamedTuple):
     asn: AsnRecord | None
     marketing: bool             # the ASN is a listed marketing provider
     provenance: ProvenanceLabel
-    content: str | None         # the content label; None when unclassified
+    content: str                # the content label
 
 
 def rows_by_service(rows: Iterable[MessageRow]) -> dict[str, list[MessageRow]]:
@@ -282,8 +283,7 @@ def build_sender_profiles(by_service: dict[str, list[MessageRow]],
     for service, service_rows in by_service.items():
         profile = SenderProfile(
             service_name=service, emails_total=len(service_rows),
-            content_counts=Counter(r.content for r in service_rows
-                                   if r.content is not None))
+            content_counts=Counter(r.content for r in service_rows))
         domain_counts = Counter(r.record.from_root_domain for r in service_rows
                                 if r.record.from_root_domain)
         if domain_counts:

@@ -182,14 +182,13 @@ def enrich(store: CorpusStore, asn_table: AsnTable, providers: list[str],
            classifications: dict[str, Classification]) -> list[MessageRow]:
     """One row per parsed message, in corpus order: the one place a
     message's sender IP is looked up, its content label read and its
-    provenance decided."""
+    provenance decided. ``classifications`` labels every parsed message."""
     rows: list[MessageRow] = []
     for rec in store.ok_records():
         ip = None if is_internal_hop(rec.sender_ip) else rec.sender_ip
         asn = asn_table.lookup(ip) if ip else None
         marketing = flag_marketing_asn(asn, providers)
-        cls = classifications.get(rec.message_id)
-        content = cls.label if cls else None
+        content = classifications[rec.message_id].label
         label = classify_provenance(
             rec, asn=asn, marketing_flag=marketing, org_map=org_map,
             cloud_flag=flag_marketing_asn(asn, clouds), content_label=content)
@@ -249,6 +248,13 @@ def run_analyze(cfg: AuditConfig, store: CorpusStore | None = None,
         store = read_corpus_jsonl(_upstream(cfg, CORPUS_FILE, "corpus", "ingest"))
     if classifications is None:
         classifications = _load_classifications(cfg)
+    parsed = {rec.message_id for rec in store.ok_records()}
+    if parsed != classifications.keys():
+        raise ValueError(
+            f"{CLASSIFICATIONS_FILE} does not match {CORPUS_FILE}: "
+            f"{len(parsed - classifications.keys())} parsed messages have no "
+            f"label and {len(classifications.keys() - parsed)} labels name no "
+            f"parsed message (run classify on this corpus)")
 
     asn_table = load_ip2asn(cfg.ip2asn_path) if cfg.ip2asn_path else AsnTable()
     abuse = load_abuse_reports(cfg.abuse_path) if cfg.abuse_path else {}
@@ -300,20 +306,20 @@ def run_analyze(cfg: AuditConfig, store: CorpusStore | None = None,
 
     # clustering artifacts
     features = build_features(by_service, profiles)
-    standardized = standardize(features.matrix)
+    standardized = standardize(features)
     pca = pca_fit(standardized, cfg.pca_components)
     scores = pca.transform(standardized)
     selection = select_k(scores, k_min=cfg.k_min, k_max=cfg.k_max,
                          seed=cfg.seed, restarts=cfg.kmeans_restarts)
 
     _write_csv(out / "features.csv", ["company"] + FEATURE_NAMES,
-               [[features.companies[i]] + [float(v) for v in features.matrix[i]]
-                for i in range(len(features.companies))])
+               [[company] + [float(v) for v in vector]
+                for company, vector in zip(by_service, features)])
     _write_csv(out / "clusters.csv", ["company", "cluster", "pc1", "pc2"],
-               [[features.companies[i], int(selection.labels[i]),
-                 float(scores[i, 0]),
-                 float(scores[i, 1]) if scores.shape[1] > 1 else 0.0]
-                for i in range(len(features.companies))])
+               [[company, int(cluster), float(score[0]),
+                 float(score[1]) if scores.shape[1] > 1 else 0.0]
+                for company, cluster, score
+                in zip(by_service, selection.labels, scores)])
 
     loadings = loadings_report(pca, selection, FEATURE_NAMES, scores)
     loadings["selected_k"] = selection.k
@@ -323,9 +329,6 @@ def run_analyze(cfg: AuditConfig, store: CorpusStore | None = None,
     warnings = []
     if selection.clamped:
         warnings.append("k range clamped to the company count")
-    if features.no_content_companies:
-        warnings.append("companies without classified mail: "
-                        + ", ".join(features.no_content_companies))
     loadings["warnings"] = warnings
     _write_json(out / "loadings.json", loadings)
 
@@ -346,7 +349,7 @@ def run_analyze(cfg: AuditConfig, store: CorpusStore | None = None,
 
     return {
         "artifacts": ANALYZE_ARTIFACTS,
-        "companies": len(features.companies),
+        "companies": len(by_service),
         "selected_k": selection.k,
         "silhouette": selection.silhouette,
         "warnings": warnings,

@@ -1,8 +1,7 @@
 """Temporal analytics: daily series, Fourier periodicity, decomposition.
 
-All clocks run in the configured audit timezone. Records without a
-timestamp (unparseable mail) count toward volume elsewhere but cannot be
-placed on the time axis, so they are excluded here.
+All clocks run in the configured audit timezone. Every record passed in
+is parsed mail, which always carries its local timestamp.
 """
 
 from __future__ import annotations
@@ -12,9 +11,6 @@ from dataclasses import dataclass
 from datetime import date, timedelta
 
 import numpy as np
-
-class EmptyScopeError(ValueError):
-    pass
 
 
 class InsufficientSeriesError(ValueError):
@@ -46,16 +42,9 @@ class Decomposition:
     seasonal_variance_share: float
 
 
-def _stamped(records) -> list:
-    stamped = [r for r in records if r.received_local is not None]
-    if not stamped:
-        raise EmptyScopeError("no dated records")
-    return stamped
-
-
 def build_daily_series(records) -> DailySeries:
     """Emails per calendar day (audit timezone), missing days as explicit zeros."""
-    days = [r.received_local.date() for r in _stamped(records)]
+    days = [r.received_local.date() for r in records]
     day0, day_last = min(days), max(days)
     n = (day_last - day0).days + 1
     values = [0.0] * n
@@ -149,7 +138,7 @@ def decompose_additive(series: DailySeries, period: int = 7) -> Decomposition:
 def hour_day_matrix(records) -> list[list[int]]:
     """7x24 counts by (day-of-week 0=Monday, hour) in the audit timezone."""
     matrix = [[0] * 24 for _ in range(7)]
-    for rec in _stamped(records):
+    for rec in records:
         stamp = rec.received_local
         matrix[stamp.weekday()][stamp.hour] += 1
     return matrix

@@ -75,8 +75,6 @@ def test_extract_sender_ip_scans_in_order():
         "from b (b [198.51.100.7]) by mx.audit.example; date",
     ]
     assert extract_sender_ip(received, "mx.audit.example") == "198.51.100.7"
-    # without the trusted constraint the topmost bracketed IP wins
-    assert extract_sender_ip(received, "") == "10.0.0.1"
 
 
 def test_extract_sender_ip_unknown():

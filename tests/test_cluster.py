@@ -37,36 +37,33 @@ def test_feature_names_frozen():
 def test_build_features_rows():
     by_service = {
         "alpha": [row(day=0, hour=9), row(day=1, hour=9), row(day=0, hour=20)],
-        "beta": [row(day=5, hour=3),
-                 SimpleNamespace(record=SimpleNamespace(received_local=None))],
+        "beta": [row(day=5, hour=3), row(day=6, hour=3)],
     }
     profiles = [profile("alpha", True, 3, promotional=2, crm=1),
-                profile("beta", False, 2)]
+                profile("beta", False, 2, alert=2)]
     features = build_features(by_service, profiles)
-    assert features.companies == ["alpha", "beta"]
-    assert features.matrix.shape == (2, 36)
-    alpha, beta = features.matrix
+    assert features.shape == (2, 36)
+    alpha, beta = features
     assert alpha[9] == 2 and alpha[20] == 1          # hourly
     assert alpha[24] == 2 and alpha[25] == 1         # Mon, Tue
     assert alpha[31] == 1.0 and beta[31] == 0.0      # marketing flag
     assert alpha[32:35] == pytest.approx([2 / 3, 1 / 3, 0.0])
     assert alpha[35] == 3.0
-    # beta has no classified mail: zero mix, flagged
-    assert beta[32:35] == pytest.approx([0.0, 0.0, 0.0])
-    assert beta[35] == 2.0                           # unstamped still counts
-    assert beta[24:31].sum() == 1.0                  # but not on the clock
-    assert features.no_content_companies == ["beta"]
+    assert beta[32:35] == pytest.approx([0.0, 0.0, 1.0])
+    assert beta[35] == 2.0
+    assert beta[3] == 2 and beta[29] == 1 and beta[30] == 1  # Sat, Sun
 
 
 def test_build_features_needs_two_companies():
     with pytest.raises(InsufficientCompaniesError):
-        build_features({"solo": [row()]}, [profile("solo", False, 1)])
+        build_features({"solo": [row()]},
+                       [profile("solo", False, 1, alert=1)])
 
 
 def test_build_features_needs_one_profile_per_company():
     by_service = {"alpha": [row()], "beta": [row()]}
     with pytest.raises(ValueError):
-        build_features(by_service, [profile("alpha", False, 1)])
+        build_features(by_service, [profile("alpha", False, 1, alert=1)])
 
 
 def test_standardize_population_zscores():

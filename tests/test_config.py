@@ -101,6 +101,7 @@ def test_bad_coercion_is_config_error():
     ({"seed": "-1"}, "seed"),
     ({"pca_components": "-1"}, "pca_components"),
     ({"pca_components": "0"}, "pca_components"),
+    ({"trusted_mx": ""}, "trusted_mx"),
 ])
 def test_validation_rejections(values, needle):
     with pytest.raises(ConfigError, match=needle):

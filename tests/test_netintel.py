@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from inboxaudit import netintel
 from inboxaudit.authlineage import ServiceOrgMap
+from inboxaudit.classify.adapter import classify_records
 from inboxaudit.corpus.aliases import load_alias_registry
 from inboxaudit.corpus.eml import PARSE_OK, UNMATCHED, EmailRecord
 from inboxaudit.corpus.store import CorpusStore, ingest_corpus
@@ -69,6 +70,16 @@ def test_org_names_keep_embedded_commas(tmp_path):
     assert table.lookup("5.6.7.8").organization == "ACME,INC."
 
 
+def test_rows_with_equal_cells_share_one_record(tmp_path):
+    path = write_snapshot(tmp_path, ("1.0.0.0/24\tAS7\tORG\n"
+                                     "2.0.0.0/24\tAS7\tORG\n"
+                                     "3.0.0.0/24\t7\tORG\n"))
+    table = load_ip2asn(path)
+    first, second, third = (table.lookup(f"{n}.0.0.1") for n in (1, 2, 3))
+    assert first is second
+    assert first == third == AsnRecord(7, "ORG")
+
+
 def test_quoted_cells_keep_csv_quoting(tmp_path):
     path = write_snapshot(tmp_path, '5.6.0.0/16,99,"ACME, INC."\n')
     assert load_ip2asn(path).lookup("5.6.7.8").organization == "ACME, INC."
@@ -115,6 +126,7 @@ def test_abuse_reports_keep_csv_quoting(tmp_path):
     "1.2.3.0/24\t+5\torg\n",               # int() would read 5
     "1.2.3.0/24\t\u0661\u0662\u0663\torg\n",  # Arabic-Indic 123
     "1.2.3.0/24\tAS+5\torg\n",             # a sign after the prefix
+    "1.2.3.0/24\tASX\torg\n4.5.6.0/24\tASX\torg\n",  # a repeated bad cell
 ])
 def test_load_rejects_bad_rows_with_lineno(tmp_path, bad):
     path = write_snapshot(tmp_path, "# header\n" + bad)
@@ -397,7 +409,8 @@ def test_enrich_skips_internal_even_if_covered(tmp_path):
     assert table.lookup("10.0.0.1") is not None
     store = CorpusStore.from_records([unmatched_record("a", "10.0.0.1"),
                                       unmatched_record("b", "8.8.8.8")])
-    internal, routed = enrich(store, table, [], [], ServiceOrgMap(), {})
+    internal, routed = enrich(store, table, [], [], ServiceOrgMap(),
+                              classify_records(store.records, "rules"))
     assert internal.ip is None and internal.asn is None
     assert routed.ip == "8.8.8.8"
     assert routed.asn.organization == "EVERYTHING"
@@ -410,14 +423,14 @@ def test_rows_by_service_and_content_counts():
             ip=None, asn=None, marketing=False, content=content)
 
     rows = [row("beta", "crm"), row(UNMATCHED, "alert"),
-            row("alpha", "promotional"), row("beta", "crm"), row("beta", None)]
+            row("alpha", "promotional"), row("beta", "crm"), row("beta", "alert")]
     by_service = rows_by_service(rows)
     assert list(by_service) == ["alpha", "beta"]      # sorted, unmatched out
     profiles, _ = build_sender_profiles(by_service, {})
     assert [p.service_name for p in profiles] == ["alpha", "beta"]
     assert profiles[0].content_counts == {"promotional": 1}
-    assert profiles[1].content_counts == {"crm": 2}
-    assert profiles[1].emails_total == 3               # unclassified counts
+    assert profiles[1].content_counts == {"crm": 2, "alert": 1}
+    assert profiles[1].emails_total == 3
 
 
 def test_flag_marketing_asn():
@@ -461,7 +474,8 @@ def synth_profiles(synth_corpus):
     table = load_ip2asn(synth_corpus.ip2asn_path)
     abuse = load_abuse_reports(synth_corpus.abuse_path)
     providers = load_provider_list(_bundled("marketing_providers.txt"))
-    rows = enrich(store, table, providers, [], ServiceOrgMap(), {})
+    rows = enrich(store, table, providers, [], ServiceOrgMap(),
+                  classify_records(store.records, "rules"))
     profiles, flows = build_sender_profiles(rows_by_service(rows), abuse)
     return store, report, profiles, flows, abuse
 

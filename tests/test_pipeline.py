@@ -407,7 +407,15 @@ def test_non_object_classification_line_is_input_error(staged, synth_corpus,
     lambda entry: entry.update(extra=1),
     lambda entry: entry.pop("spf"),
     lambda entry: entry["alias"].update(extra=1),
-], ids=["unknown_key", "missing_key", "unknown_alias_key"])
+    lambda entry: entry.update(sender_ip=7),
+    lambda entry: entry.update(received_local=None),
+    lambda entry: entry.update(alias="nobody"),
+    lambda entry: entry.update(received_utc=entry["received_utc"][:19]),
+    lambda entry: entry["alias"].update(service_name=5),
+    lambda entry: entry["alias"].update(index=7.0),
+], ids=["unknown_key", "missing_key", "unknown_alias_key", "number_sender_ip",
+        "undated_ok_record", "string_alias", "date_without_offset",
+        "number_service_name", "float_alias_index"])
 def test_stale_corpus_line_is_input_error(staged, synth_corpus, tmp_path, edit):
     out, _ = staged
     lines = (out / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
@@ -422,6 +430,20 @@ def test_stale_corpus_line_is_input_error(staged, synth_corpus, tmp_path, edit):
         main, ["classify", *cli_args(synth_corpus, tmp_path)])
     assert result.exit_code == 3, result.output
     assert f"corpus.jsonl:{i + 1}: bad corpus line" in result.output
+
+
+def test_labels_of_another_corpus_are_input_error(staged, tmp_path):
+    """Corpus A ingested and classified, then corpus B ingested into the
+    same output directory: analyze must not count B with A's labels."""
+    out, _ = staged
+    shutil.copy(out / "classifications.jsonl", tmp_path / "classifications.jsonl")
+    other = make_synthetic_corpus(tmp_path / "b", seed=2, n_days=90)
+    runner = CliRunner()
+    ingest = runner.invoke(main, ["ingest", *cli_args(other, tmp_path)])
+    assert ingest.exit_code == 0, ingest.output
+    result = runner.invoke(main, ["analyze", *cli_args(other, tmp_path)])
+    assert result.exit_code == 3, result.output
+    assert "classifications.jsonl does not match corpus.jsonl" in result.output
 
 
 def test_unknown_classification_key_is_input_error(staged, synth_corpus,

@@ -49,13 +49,14 @@ def test_store_partition_and_order(synth_corpus):
 def test_ingest_missing_directory(tmp_path, synth_corpus):
     registry = load_alias_registry(synth_corpus.registry_path)
     with pytest.raises(OSError):
-        ingest_corpus(tmp_path / "nope", registry)
+        ingest_corpus(tmp_path / "nope", registry, trusted_mx=TRUSTED_MX)
 
 
 def test_ingest_empty_directory_warns(tmp_path, synth_corpus, caplog):
     registry = load_alias_registry(synth_corpus.registry_path)
     with caplog.at_level("WARNING"):
-        store, report = ingest_corpus(tmp_path, registry)
+        store, report = ingest_corpus(tmp_path, registry,
+                                      trusted_mx=TRUSTED_MX)
     assert report.files == 0 and len(store) == 0
     assert any("no .eml" in m for m in caplog.messages)
 

@@ -9,11 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from inboxaudit.temporal import (DailySeries, EmptyScopeError,
-                                 InsufficientSeriesError, build_daily_series,
-                                 decompose_additive, hour_day_matrix,
-                                 reconstruction_errors, spectrum_bins,
-                                 spectrum_peaks)
+from inboxaudit.temporal import (DailySeries, InsufficientSeriesError,
+                                 build_daily_series, decompose_additive,
+                                 hour_day_matrix, reconstruction_errors,
+                                 spectrum_bins, spectrum_peaks)
 
 
 def stamp(day, hour=12):
@@ -26,16 +25,6 @@ def test_daily_series_fills_gaps():
     assert series.values == [1.0, 0.0, 0.0, 2.0]
     assert series.day0 == datetime(2024, 1, 1).date()
     assert series.dates()[-1] == datetime(2024, 1, 4).date()
-
-
-def test_daily_series_skips_unstamped():
-    unstamped = SimpleNamespace(received_local=None)
-    assert build_daily_series([stamp(0), stamp(1), unstamped]).values == \
-        [1.0, 1.0]
-    with pytest.raises(EmptyScopeError):
-        build_daily_series([unstamped])
-    with pytest.raises(EmptyScopeError):
-        hour_day_matrix([])
 
 
 def test_spectrum_needs_sixteen_days():
