@@ -21,6 +21,7 @@ from .formats import read_table
 
 # verdict enums
 PASS, FAIL, NONE, ABSENT = "pass", "fail", "none", "absent"
+VERDICTS = (PASS, FAIL, NONE, ABSENT)
 # provenance enums
 INTERNAL, ATP, UTP = "internal", "atp", "utp"
 # spam enums

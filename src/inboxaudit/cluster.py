@@ -241,7 +241,10 @@ class SelectionResult:
 
 def select_k(matrix: np.ndarray, k_min: int = 2, k_max: int = 10,
              seed: int = DEFAULT_SEED, restarts: int = 10) -> SelectionResult:
-    """Fit every k in range, keep the best silhouette (ties favor smaller k)."""
+    """Fit every k in range, keep the best silhouette (ties favor smaller k).
+
+    Rows that are all equal have no second cluster to find: that raises
+    InsufficientCompaniesError before any fit."""
     x = np.asarray(matrix, dtype=float)
     n = x.shape[0]
     clamped = False
@@ -251,6 +254,9 @@ def select_k(matrix: np.ndarray, k_min: int = 2, k_max: int = 10,
         clamped = True
     if k_min > k_max:
         raise ValueError(f"empty k range after clamping: {k_min}..{k_max}")
+    if (x == x[0]).all():
+        raise InsufficientCompaniesError(
+            f"all {n} companies have identical features; nothing to cluster")
 
     best: SelectionResult | None = None
     per_k: dict[int, float] = {}

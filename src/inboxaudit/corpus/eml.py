@@ -39,7 +39,8 @@ from email.utils import (format_datetime, getaddresses, parseaddr,
 from html.parser import HTMLParser
 from zoneinfo import ZoneInfo
 
-from ..authlineage import ABSENT, UNKNOWN_IP, extract_sender_ip, parse_auth_results
+from ..authlineage import (ABSENT, UNKNOWN_IP, VERDICTS, extract_sender_ip,
+                           parse_auth_results)
 from .aliases import AliasEntry, AliasRegistry
 from .suffix import root_domain
 
@@ -87,11 +88,17 @@ class EmailRecord:
     def from_dict(cls, entry: dict) -> "EmailRecord":
         """A record as `formats.write_jsonl` encodes it. An unknown or
         missing key raises, and so does a value of the wrong type: a text
-        field that is not a string, an alias that is neither an object nor
+        field that is not a string, a parse status or SPF/DKIM verdict
+        outside its enum, an alias that is neither an object nor
         UNMATCHED, dates that do not fit the parse status or lack an offset."""
         wrong = [name for name in _TEXT_FIELDS if not isinstance(entry[name], str)]
         if wrong:
             raise TypeError(f"not a string: {', '.join(wrong)}")
+        if entry["parse_status"] not in (PARSE_OK, PARSE_UNPARSEABLE):
+            raise ValueError(f"unknown parse_status {entry['parse_status']!r}")
+        for name in ("spf", "dkim"):
+            if entry[name] not in VERDICTS:
+                raise ValueError(f"unknown {name} verdict {entry[name]!r}")
         alias = entry["alias"]
         if isinstance(alias, dict):
             alias = AliasEntry.from_dict(alias)

@@ -204,7 +204,7 @@ def _provenance_summary(rows: list[MessageRow]) -> dict:
 
 
 def _sector_stats(companies: list[CompanyRow], pareto_table, profiles,
-                  flows, cfg: AuditConfig) -> dict:
+                  flows) -> dict:
     """Aggregate statistics block for sector_stats.json."""
     contingency = sector_contingency(companies)
     groups = list(sector_groups(companies).values())
@@ -226,7 +226,7 @@ def _sector_stats(companies: list[CompanyRow], pareto_table, profiles,
     attempt("anova", lambda: one_way_anova(groups).to_dict())
     attempt("kruskal_wallis", lambda: kruskal_wallis(groups).to_dict())
     attempt("descriptive", lambda: descriptive(
-        [float(c.total) for c in companies], convention=cfg.moment_convention))
+        [float(c.total) for c in companies]))
     stats["pareto"] = {
         "total": pareto_table.total,
         "top_10_share": pareto_table.top_k_share(10),
@@ -242,7 +242,10 @@ def _sector_stats(companies: list[CompanyRow], pareto_table, profiles,
 def run_analyze(cfg: AuditConfig, store: CorpusStore | None = None,
                 classifications: dict[str, Classification] | None = None
                 ) -> tuple[dict, dict]:
-    """Produce the ten analysis artifacts; returns (summary, sector stats)."""
+    """Produce the ten analysis artifacts; returns (summary, sector stats).
+
+    Every result is computed before the first artifact is written, so an
+    analysis that cannot finish leaves the output directory as it was."""
     out = _out_dir(cfg)
     if store is None:
         store = read_corpus_jsonl(_upstream(cfg, CORPUS_FILE, "corpus", "ingest"))
@@ -268,58 +271,26 @@ def run_analyze(cfg: AuditConfig, store: CorpusStore | None = None,
     by_service = rows_by_service(rows)
     profiles, flows = build_sender_profiles(by_service, abuse)
 
-    # pareto.csv over root domains of parsed mail
+    # Pareto ranking over root domains of parsed mail
     domains = Counter(row.record.from_root_domain for row in rows
                       if row.record.from_root_domain)
     if not domains:
         raise ValueError("no parsed mail with a sender domain; nothing to rank")
     pareto_table = pareto([(d, float(n)) for d, n in domains.items()])
-    _write_csv(out / "pareto.csv",
-               ["rank", "root_domain", "emails", "share", "cumulative_share"],
-               [[i + 1, e.name, int(e.value), e.share, e.cumulative_share]
-                for i, e in enumerate(pareto_table.entries)])
 
-    # temporal artifacts on the whole-inbox series
+    # temporal results on the whole-inbox series
     records = [row.record for row in rows]
     series = build_daily_series(records)
-    bins = spectrum_bins(series, sigma=cfg.peak_sigma)
-    _write_csv(out / "spectrum.csv",
-               ["frequency", "magnitude", "period", "is_peak"],
-               [[b.frequency, b.magnitude, b.period_days, int(b.is_peak)]
-                for b in bins])
-
-    dec = decompose_additive(series, period=cfg.decomposition_period)
-    dates = series.dates()
-    _write_csv(out / "decomposition.csv",
-               ["day", "observed", "trend", "seasonal", "residual"],
-               [[dates[i].isoformat(),
-                 float(series.values[i]),
-                 float(dec.trend[i]) if np.isfinite(dec.trend[i]) else "",
-                 float(dec.seasonal[i]),
-                 float(dec.residual[i]) if np.isfinite(dec.residual[i]) else ""]
-                for i in range(len(series.values))])
-
+    bins = spectrum_bins(series)
+    dec = decompose_additive(series)
     matrix = hour_day_matrix(records)
-    _write_csv(out / "heatmap.csv", ["dow", "hour", "count"],
-               [[dow, hour, matrix[dow][hour]]
-                for dow in range(7) for hour in range(24)])
 
-    # clustering artifacts
+    # clustering
     features = build_features(by_service, profiles)
     standardized = standardize(features)
-    pca = pca_fit(standardized, cfg.pca_components)
+    pca = pca_fit(standardized)
     scores = pca.transform(standardized)
-    selection = select_k(scores, k_min=cfg.k_min, k_max=cfg.k_max,
-                         seed=cfg.seed, restarts=cfg.kmeans_restarts)
-
-    _write_csv(out / "features.csv", ["company"] + FEATURE_NAMES,
-               [[company] + [float(v) for v in vector]
-                for company, vector in zip(by_service, features)])
-    _write_csv(out / "clusters.csv", ["company", "cluster", "pc1", "pc2"],
-               [[company, int(cluster), float(score[0]),
-                 float(score[1]) if scores.shape[1] > 1 else 0.0]
-                for company, cluster, score
-                in zip(by_service, selection.labels, scores)])
+    selection = select_k(scores, seed=cfg.seed)
 
     loadings = loadings_report(pca, selection, FEATURE_NAMES, scores)
     loadings["selected_k"] = selection.k
@@ -330,10 +301,6 @@ def run_analyze(cfg: AuditConfig, store: CorpusStore | None = None,
     if selection.clamped:
         warnings.append("k range clamped to the company count")
     loadings["warnings"] = warnings
-    _write_json(out / "loadings.json", loadings)
-
-    _write_json(out / "sankey.json", flows.sankey)
-    _write_json(out / "treemap.json", flows.treemap)
 
     # one appendix-shaped row per company feeds the sector statistics
     companies = [
@@ -343,8 +310,40 @@ def run_analyze(cfg: AuditConfig, store: CorpusStore | None = None,
                    **{label: profile.content_counts[label] for label in LABELS})
         for (service, service_rows), profile, cluster
         in zip(by_service.items(), profiles, selection.labels, strict=True)]
-    stats = _sector_stats(companies, pareto_table, profiles, flows, cfg)
+    stats = _sector_stats(companies, pareto_table, profiles, flows)
     stats["provenance_summary"] = _provenance_summary(rows)
+
+    _write_csv(out / "pareto.csv",
+               ["rank", "root_domain", "emails", "share", "cumulative_share"],
+               [[i + 1, e.name, int(e.value), e.share, e.cumulative_share]
+                for i, e in enumerate(pareto_table.entries)])
+    _write_csv(out / "spectrum.csv",
+               ["frequency", "magnitude", "period", "is_peak"],
+               [[b.frequency, b.magnitude, b.period_days, int(b.is_peak)]
+                for b in bins])
+    dates = series.dates()
+    _write_csv(out / "decomposition.csv",
+               ["day", "observed", "trend", "seasonal", "residual"],
+               [[dates[i].isoformat(),
+                 float(series.values[i]),
+                 float(dec.trend[i]) if np.isfinite(dec.trend[i]) else "",
+                 float(dec.seasonal[i]),
+                 float(dec.residual[i]) if np.isfinite(dec.residual[i]) else ""]
+                for i in range(len(series.values))])
+    _write_csv(out / "heatmap.csv", ["dow", "hour", "count"],
+               [[dow, hour, matrix[dow][hour]]
+                for dow in range(7) for hour in range(24)])
+    _write_csv(out / "features.csv", ["company"] + FEATURE_NAMES,
+               [[company] + [float(v) for v in vector]
+                for company, vector in zip(by_service, features)])
+    _write_csv(out / "clusters.csv", ["company", "cluster", "pc1", "pc2"],
+               [[company, int(cluster), float(score[0]),
+                 float(score[1]) if scores.shape[1] > 1 else 0.0]
+                for company, cluster, score
+                in zip(by_service, selection.labels, scores)])
+    _write_json(out / "loadings.json", loadings)
+    _write_json(out / "sankey.json", flows.sankey)
+    _write_json(out / "treemap.json", flows.treemap)
     _write_json(out / "sector_stats.json", stats)
 
     return {

@@ -218,6 +218,11 @@ def test_select_k_clamps_to_row_count():
         select_k(x, k_min=5, k_max=10)
 
 
+def test_select_k_identical_rows_is_infeasible():
+    with pytest.raises(InsufficientCompaniesError, match="identical features"):
+        select_k(np.zeros((3, 2)))
+
+
 def test_loadings_report_shape():
     rng = np.random.default_rng(11)
     x = blobs(rng, [[0, 0, 0], [5, 5, 5]], per=6, spread=0.2)

@@ -1,9 +1,14 @@
 """Config file parsing, override precedence, coercion, and validation."""
 
+import re
+from pathlib import Path
+
 import pytest
 
-from inboxaudit.config import (AuditConfig, ConfigError, build_config,
-                               parse_config_file)
+from inboxaudit.config import (_ADAPTER_FIELDS, _SCALAR_FIELDS, AuditConfig,
+                               ConfigError, build_config, parse_config_file)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_parse_config_file(tmp_path):
@@ -38,7 +43,6 @@ def test_defaults_validate():
     assert cfg.seed == 42
     assert cfg.classifier == "rules"
     assert cfg.adapter.model == "llama3.1-8b-instruct"
-    assert cfg.moment_convention == "sample"
 
 
 def test_overrides_beat_file_values():
@@ -56,12 +60,12 @@ def test_none_overrides_are_ignored():
 def test_string_coercion():
     cfg = build_config(file_values={
         "seed": "99",
-        "peak_sigma": "2.5",
-        "k_max": "6",
+        "adapter_pool_size": "6",
+        "adapter_timeout_s": "2.5",
     })
     assert cfg.seed == 99 and isinstance(cfg.seed, int)
-    assert cfg.peak_sigma == 2.5
-    assert cfg.k_max == 6
+    assert cfg.adapter.pool_size == 6 and isinstance(cfg.adapter.pool_size, int)
+    assert cfg.adapter.timeout_s == 2.5
 
 
 def test_adapter_prefix_routing():
@@ -89,23 +93,28 @@ def test_bad_coercion_is_config_error():
 @pytest.mark.parametrize("values,needle", [
     ({"classifier": "psychic"}, "classifier"),
     ({"classifier": "external"}, "adapter_endpoint"),
-    ({"moment_convention": "excess"}, "moment_convention"),
-    ({"k_min": "5", "k_max": "3"}, "k range"),
-    ({"k_min": "1"}, "k range"),
-    ({"kmeans_restarts": "0"}, "restarts"),
-    ({"peak_sigma": "0"}, "peak_sigma"),
-    ({"decomposition_period": "1"}, "decomposition_period"),
     ({"pca_variance_threshold": "1.2"}, "pca_variance_threshold"),
     ({"audit_timezone": "Mars/Olympus"}, "audit_timezone"),
     ({"audit_timezone": "../etc/localtime"}, "audit_timezone"),
     ({"seed": "-1"}, "seed"),
-    ({"pca_components": "-1"}, "pca_components"),
-    ({"pca_components": "0"}, "pca_components"),
     ({"trusted_mx": ""}, "trusted_mx"),
-])
+], ids=[  # each case keeps the name it had when the list was longer
+    "values0-classifier", "values1-adapter_endpoint",
+    "values8-pca_variance_threshold", "values9-audit_timezone",
+    "values10-audit_timezone", "values11-seed", "values14-trusted_mx"])
 def test_validation_rejections(values, needle):
     with pytest.raises(ConfigError, match=needle):
         build_config(file_values=values)
+
+
+@pytest.mark.parametrize("key", [
+    "peak_sigma", "decomposition_period", "pca_components", "k_min", "k_max",
+    "kmeans_restarts", "moment_convention",
+])
+def test_fixed_analysis_parameters_are_unknown_keys(key):
+    # the analysis method's values live in the functions that use them
+    with pytest.raises(ConfigError, match=f"unknown config key: '{key}'"):
+        build_config(file_values={key: "2"})
 
 
 def test_validate_direct():
@@ -123,3 +132,11 @@ def test_validate_direct():
 def test_adapter_setting_rejections(values, needle):
     with pytest.raises(ConfigError, match=needle):
         build_config(file_values=values)
+
+
+def test_readme_config_table_names_every_key():
+    section = README.read_text(encoding="utf-8").split("### Config keys", 1)[1]
+    table = section.strip().split("\n\n", 1)[0]
+    first_cells = [line.split("|")[1] for line in table.splitlines()[2:]]
+    documented = re.findall(r"`([a-z0-9_]+)`", "".join(first_cells))
+    assert sorted(documented) == sorted([*_SCALAR_FIELDS, *_ADAPTER_FIELDS])

@@ -268,7 +268,7 @@ def test_set_without_equals_is_config_error(synth_corpus, tmp_path):
 
 def test_non_utf8_config_file_is_config_error(synth_corpus, tmp_path):
     config = tmp_path / "bad.cfg"
-    config.write_bytes(b"peak_sigma=2.0\n# caf\xe9\n")
+    config.write_bytes(b"seed=7\n# caf\xe9\n")
     result = CliRunner().invoke(
         main, ["ingest", *cli_args(synth_corpus, tmp_path),
                "--config", str(config)])
@@ -280,7 +280,7 @@ def test_non_utf8_config_file_is_config_error(synth_corpus, tmp_path):
 
 def test_removed_pca_variance_threshold_is_config_error(synth_corpus, tmp_path):
     config = tmp_path / "old.cfg"
-    config.write_text("pca_components=0\npca_variance_threshold=0.8\n")
+    config.write_text("seed=7\npca_variance_threshold=0.8\n")
     result = CliRunner().invoke(
         main, ["ingest", *cli_args(synth_corpus, tmp_path),
                "--config", str(config)])
@@ -312,18 +312,11 @@ def test_malformed_rule_table_is_input_error(synth_corpus, tmp_path, table):
     assert isinstance(result.exception, SystemExit)
 
 
-def test_bad_coercion_is_config_error(synth_corpus, tmp_path):
+def test_bad_coercion_is_config_error(tmp_path):
     result = CliRunner().invoke(
-        main, ["ingest", *cli_args(synth_corpus, tmp_path),
-               "--set", "peak_sigma=tall"])
+        main, ["ingest", "--out", str(tmp_path), "--set", "seed=tall"])
     assert result.exit_code == 2
-
-
-def test_invalid_k_range_is_config_error(synth_corpus, tmp_path):
-    result = CliRunner().invoke(
-        main, ["analyze", *cli_args(synth_corpus, tmp_path),
-               "--set", "k_min=9", "--set", "k_max=3"])
-    assert result.exit_code == 2
+    assert "config error: bad value for seed: 'tall'" in result.output
 
 
 def test_unknown_timezone_is_config_error(synth_corpus, tmp_path):
@@ -413,9 +406,13 @@ def test_non_object_classification_line_is_input_error(staged, synth_corpus,
     lambda entry: entry.update(received_utc=entry["received_utc"][:19]),
     lambda entry: entry["alias"].update(service_name=5),
     lambda entry: entry["alias"].update(index=7.0),
+    lambda entry: entry.update(spf="yes"),
+    lambda entry: entry.update(parse_status="bogus", received_utc=None,
+                               received_local=None),
 ], ids=["unknown_key", "missing_key", "unknown_alias_key", "number_sender_ip",
         "undated_ok_record", "string_alias", "date_without_offset",
-        "number_service_name", "float_alias_index"])
+        "number_service_name", "float_alias_index", "unknown_spf_verdict",
+        "unknown_parse_status"])
 def test_stale_corpus_line_is_input_error(staged, synth_corpus, tmp_path, edit):
     out, _ = staged
     lines = (out / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
@@ -594,31 +591,39 @@ def test_table_without_header_is_input_error(staged, synth_corpus, tmp_path,
     assert isinstance(result.exception, SystemExit)
 
 
-def test_short_series_is_infeasible(tmp_path):
-    # three days of mail: ingestable, but far too short for a spectrum
-    from datetime import datetime, timezone
+def tiny_corpus_args(tmp_path, mails):
+    """One alias per service and one EML file per (service, day) in
+    ``mails``, all alike but for sender and date; returns CLI arguments."""
+    from datetime import datetime, timedelta, timezone
 
     from inboxaudit.synth import AUDIT_DOMAIN, TRUSTED_MX, render_eml
 
     eml_dir = tmp_path / "eml"
     eml_dir.mkdir()
+    local_parts = {service: f"{service}{i:03d}" for i, service
+                   in enumerate(sorted({service for service, _ in mails}), 1)}
     registry = tmp_path / "registry.csv"
     registry.write_text(
         "local_part,index,service_name,service_kind,registration_date\n"
-        "tiny001,1,tinyshop,online_service,2023-12-01\n")
-    for day in range(3):
-        stamp = datetime(2024, 3, 4 + day, 10, tzinfo=timezone.utc)
-        raw = render_eml(to_addr=f"tiny001@{AUDIT_DOMAIN}",
-                         from_addr="mail@tinyshop.example",
+        + "".join(f"{local},{local[-3:]},{service},online_service,2023-12-01\n"
+                  for service, local in local_parts.items()))
+    for service, day in mails:
+        stamp = datetime(2024, 3, 4, 10, tzinfo=timezone.utc) + timedelta(days=day)
+        raw = render_eml(to_addr=f"{local_parts[service]}@{AUDIT_DOMAIN}",
+                         from_addr=f"mail@{service}.example",
                          date=stamp, subject="Weekly sale, 20% off",
                          body="Shop the sale.",
-                         message_id=f"tiny-{day}@tinyshop.example",
-                         sender_ip="198.51.100.4", sender_host="out.tinyshop.example")
-        (eml_dir / f"tiny-{day}.eml").write_bytes(raw)
+                         message_id=f"{service}-{day}@{service}.example",
+                         sender_ip="198.51.100.4",
+                         sender_host=f"out.{service}.example")
+        (eml_dir / f"{service}-{day}.eml").write_bytes(raw)
+    return ["--corpus-dir", str(eml_dir), "--registry", str(registry),
+            "--out", str(tmp_path / "out"), "--set", f"trusted_mx={TRUSTED_MX}"]
 
-    out = tmp_path / "out"
-    base = ["--corpus-dir", str(eml_dir), "--registry", str(registry),
-            "--out", str(out), "--set", f"trusted_mx={TRUSTED_MX}"]
+
+def test_short_series_is_infeasible(tmp_path):
+    # three days of mail: ingestable, but far too short for a spectrum
+    base = tiny_corpus_args(tmp_path, [("tinyshop", day) for day in range(3)])
     runner = CliRunner()
     ingest = runner.invoke(main, ["ingest", *base])
     assert ingest.exit_code == 0, ingest.output
@@ -628,6 +633,36 @@ def test_short_series_is_infeasible(tmp_path):
     assert analyze.exit_code == 4
     assert "analysis infeasible" in analyze.output
     assert "need >= 16 days" in analyze.output
+
+
+def test_identical_companies_are_infeasible(tmp_path):
+    # two services, one alike mail each, three weeks apart: a long enough
+    # series, but every company has the same features
+    base = tiny_corpus_args(tmp_path, [("tinyshop", 0), ("tinybank", 21)])
+    result = CliRunner().invoke(main, ["report", *base])
+    assert result.exit_code == 4, result.output
+    assert "analysis infeasible: all 2 companies have identical features" \
+        in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
+def test_failed_analyze_leaves_artifacts_unchanged(staged, tmp_path):
+    """Corpus A analysed, then a corpus B too short for a spectrum staged
+    into the same output directory: B's analyze rewrites none of A's files."""
+    out, _ = staged
+    (tmp_path / "out").mkdir()
+    for name in ANALYZE_ARTIFACTS:
+        shutil.copy(out / name, tmp_path / "out" / name)
+    base = tiny_corpus_args(tmp_path, [("tinyshop", day) for day in range(4)])
+    runner = CliRunner()
+    for stage in ("ingest", "classify"):
+        result = runner.invoke(main, [stage, *base])
+        assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["analyze", *base])
+    assert result.exit_code == 4, result.output
+    for name in ANALYZE_ARTIFACTS:
+        assert (tmp_path / "out" / name).read_bytes() == \
+            (out / name).read_bytes(), name
 
 
 def test_fixture_check_reports_and_fails(tmp_path):
