@@ -19,8 +19,6 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
-import requests
-
 from ..config import AdapterConfig
 from .rules import (
     ALERT,
@@ -138,11 +136,19 @@ def parse_adapter_response(text: str) -> tuple[str, int, str]:
     return _SENTIMENT_TO_LABEL[sentiment.lower()], confidence, rationale
 
 
+def _default_session():
+    """A keep-alive ``requests.Session``; the HTTP client stack is
+    imported here, on first use, so rules mode and callers that bring
+    their own session never load it."""
+    import requests
+    return requests.Session()
+
+
 def _post_once(session, cfg: AdapterConfig, prompt: str) -> str:
     payload = {"model": cfg.model, "prompt": prompt, "schema": RESPONSE_SCHEMA}
     try:
         response = session.post(cfg.endpoint, json=payload, timeout=cfg.timeout_s)
-    except requests.RequestException as exc:
+    except OSError as exc:  # requests.RequestException is an OSError
         raise AdapterTransportError(str(exc)) from exc
     status = getattr(response, "status_code", 0)
     if status != 200:
@@ -166,7 +172,7 @@ def classify_external(record, cfg: AdapterConfig, session=None) -> Classificatio
     if record.parse_status != "ok":
         raise ValueError("cannot classify an unparseable record")
     if session is None:
-        session = requests.Session()
+        session = _default_session()
     prompt = build_prompt(record.subject, record.body_text)
     text, retries = _post_with_retries(session, cfg, prompt)
     try:
@@ -220,7 +226,7 @@ def classify_records(records, mode: str, cfg: AdapterConfig | None = None,
                    for text, r in firsts.items()}
     else:
         if session is None:
-            session = requests.Session()
+            session = _default_session()
         with ThreadPoolExecutor(max_workers=cfg.pool_size) as pool:
             futures = {text: pool.submit(
                 classify_with_fallback, r, cfg, table, session)

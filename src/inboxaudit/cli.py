@@ -54,12 +54,16 @@ def _common_options(fn):
     return fn
 
 
-def _merge_extras(extra: tuple[str, ...], overrides: dict) -> dict:
+def _merge_extras(extra: tuple[str, ...], flags: dict) -> dict:
+    """``--set`` values, then the dedicated flags that were given: a
+    dedicated flag wins over ``--set`` for the same key."""
+    overrides = {}
     for item in extra:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
         overrides[key.strip()] = value.strip()
+    overrides.update((k, v) for k, v in flags.items() if v is not None)
     return overrides
 
 

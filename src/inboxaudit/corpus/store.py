@@ -92,5 +92,5 @@ def write_corpus_jsonl(store: CorpusStore, path: str | Path) -> None:
 
 
 def read_corpus_jsonl(path: str | Path) -> CorpusStore:
-    return CorpusStore.from_records(read_jsonl(path, "corpus",
-                                               EmailRecord.from_dict))
+    return CorpusStore.from_records(read_jsonl(
+        path, "corpus", EmailRecord.from_dict, unique="message_id"))

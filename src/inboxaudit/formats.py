@@ -82,11 +82,15 @@ def write_jsonl(path: str | Path, items: Iterable) -> None:
             fh.write(encode(item) + "\n")
 
 
-def read_jsonl(path: str | Path, what: str, decode: Callable) -> list:
+def read_jsonl(path: str | Path, what: str, decode: Callable, *,
+               unique: str | None = None) -> list:
     """``decode`` of each non-blank line's JSON object. A line that is not
     an object or does not decode raises ``ValueError`` naming the file, the
-    line and ``what``; bytes that are not UTF-8 raise one naming the file."""
+    line and ``what``; bytes that are not UTF-8 raise one naming the file.
+    When ``unique`` names a key, a value of it on two lines raises one
+    naming the file, the value and both lines."""
     items = []
+    seen: dict = {}
     try:
         with Path(path).open(encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -96,10 +100,17 @@ def read_jsonl(path: str | Path, what: str, decode: Callable) -> list:
                     entry = json.loads(line)
                     if not isinstance(entry, dict):
                         raise TypeError("not a JSON object")
+                    key = entry.get(unique)
+                    first = (seen.setdefault(key, lineno)
+                             if unique is not None else lineno)
                     items.append(decode(entry))
                 except (KeyError, TypeError, ValueError) as exc:
                     raise ValueError(
                         f"{path}:{lineno}: bad {what} line: {exc}") from exc
+                if first != lineno:
+                    raise ValueError(
+                        f"{path}: lines {first} and {lineno}: repeated "
+                        f"{unique} {key!r}")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8: {exc}") from exc
     return items

@@ -165,7 +165,8 @@ def run_classify(cfg: AuditConfig, store: CorpusStore | None = None
 def _load_classifications(cfg: AuditConfig) -> dict[str, Classification]:
     path = _upstream(cfg, CLASSIFICATIONS_FILE, "classifications", "classify")
     return dict(read_jsonl(path, "classification", lambda entry: (
-        entry.pop("message_id"), Classification.from_dict(entry))))
+        entry.pop("message_id"), Classification.from_dict(entry)),
+        unique="message_id"))
 
 
 def _resolve_sector(rows: list[MessageRow], sector_map: dict[str, str]) -> str:

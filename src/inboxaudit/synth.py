@@ -267,7 +267,13 @@ def _write_sector_map(path: Path, specs: list[ServiceSpec]) -> None:
 
 def make_synthetic_corpus(out_dir: str | Path, seed: int = 42,
                           n_days: int = 60) -> SynthCorpus:
-    """Build the full synthetic collection under ``out_dir``."""
+    """Build the full synthetic collection under ``out_dir``.
+
+    ``n_days`` bounds the services' own mail only. The three bulk
+    messages sit on days 10, 19 and 28 and the two stray ones on days 20
+    and 21, whatever ``n_days`` is, so the mail always runs to at least
+    2024-01-29: even ``n_days=10`` gives a 29-day series that analyzes.
+    """
     root = Path(out_dir)
     eml_dir = root / "eml"
     eml_dir.mkdir(parents=True, exist_ok=True)

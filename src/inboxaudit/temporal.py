@@ -6,7 +6,6 @@ is parsed mail, which always carries its local timestamp.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from datetime import date, timedelta
 
@@ -142,12 +141,3 @@ def hour_day_matrix(records) -> list[list[int]]:
         stamp = rec.received_local
         matrix[stamp.weekday()][stamp.hour] += 1
     return matrix
-
-
-def reconstruction_errors(series: DailySeries, dec: Decomposition) -> list[float]:
-    """|observed − (trend+seasonal+residual)| at interior points."""
-    errors = []
-    for value, t, s, r in zip(series.values, dec.trend, dec.seasonal, dec.residual):
-        if not math.isnan(t):
-            errors.append(abs(value - (t + s + r)))
-    return errors

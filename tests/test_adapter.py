@@ -6,6 +6,7 @@ from datetime import date
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+import requests
 
 from inboxaudit.classify.adapter import (PROTOCOL_TEMPLATE, RESPONSE_SCHEMA,
                                          AdapterProtocolError,
@@ -190,6 +191,28 @@ def test_fallback_to_rules(endpoint):
     assert cls.source == "rules"
     assert "adapter_fallback" in cls.flags
     assert cls.label == "promotional"  # the rules agree on this subject
+
+
+class _RaisingSession:
+    def __init__(self, exc):
+        self.exc = exc
+        self.posts = 0
+
+    def post(self, url, json, timeout):
+        self.posts += 1
+        raise self.exc
+
+
+@pytest.mark.parametrize("exc", [requests.ConnectionError("refused"),
+                                 OSError("network is unreachable")],
+                         ids=["requests_error", "bare_oserror"])
+def test_session_transport_error_falls_back(exc):
+    session = _RaisingSession(exc)
+    cfg = AdapterConfig(endpoint="http://classifier.invalid/v1", retries=1)
+    cls = classify_with_fallback(record(), cfg, session=session)
+    assert session.posts == 2
+    assert cls.source == "rules"
+    assert "adapter_fallback" in cls.flags
 
 
 def test_classify_records_external_mode(endpoint):

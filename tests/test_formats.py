@@ -70,6 +70,18 @@ def test_read_jsonl_names_file_line_and_kind(tmp_path):
         read_jsonl(path, "item", lambda d: d["name"])
 
 
+def test_read_jsonl_unique_key(tmp_path):
+    path = tmp_path / "in.jsonl"
+    path.write_text('{"name": "a"}\n{"name": "b"}\n\n{"name": "a"}\n')
+    assert read_jsonl(path, "item", lambda d: d["name"]) == ["a", "b", "a"]
+    with pytest.raises(ValueError,
+                       match=r"in.jsonl: lines 1 and 4: repeated name 'a'"):
+        read_jsonl(path, "item", lambda d: d.pop("name"), unique="name")
+    path.write_text('{"name": ["a"]}\n')
+    with pytest.raises(ValueError, match=r"in.jsonl:1: bad item line"):
+        read_jsonl(path, "item", lambda d: d["name"], unique="name")
+
+
 def test_read_jsonl_names_file_of_non_utf8_bytes(tmp_path):
     path = tmp_path / "in.jsonl"
     path.write_bytes(b'{"name": "caf\xe9"}\n')

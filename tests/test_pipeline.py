@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -65,7 +66,8 @@ def staged(synth_corpus, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def short_corpus(tmp_path_factory):
-    """Ten days of mail: enough to ingest, too short for a spectrum."""
+    """Ten days of service mail; the bulk messages still run to day 28
+    (see ``make_synthetic_corpus``). Small and quick to ingest."""
     return make_synthetic_corpus(tmp_path_factory.mktemp("short"), seed=1,
                                  n_days=10)
 
@@ -93,6 +95,34 @@ def test_cli_report_chains_everything(synth_corpus, staged, tmp_path):
     for name in payload["artifacts"]:
         assert (tmp_path / name).read_bytes() == \
             (staged_out / name).read_bytes(), name
+
+
+# the HTTP client stack and process pools; certifi is left out because
+# site may import it before any program code runs
+STARTUP_FREE_MODULES = ["requests", "urllib3", "charset_normalizer", "idna",
+                        "ssl", "http.client", "multiprocessing",
+                        "concurrent.futures.process"]
+
+_REPORT_THEN_LIST_MODULES = """
+import json, sys
+from inboxaudit.cli import main
+main(sys.argv[1:], standalone_mode=False)
+print(json.dumps([m for m in {modules!r} if m in sys.modules]))
+"""
+
+
+def test_rules_report_loads_no_http_client(synth_corpus, tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = _REPORT_THEN_LIST_MODULES.format(modules=STARTUP_FREE_MODULES)
+    result = subprocess.run(
+        [sys.executable, "-c", code, "report",
+         *cli_args(synth_corpus, tmp_path)],
+        env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "report.json").is_file()
+    assert json.loads(result.stdout.splitlines()[-1]) == []
 
 
 def test_ingest_report_matches_expectations(staged, synth_corpus):
@@ -266,6 +296,25 @@ def test_set_without_equals_is_config_error(synth_corpus, tmp_path):
     assert isinstance(result.exception, SystemExit)  # no uncaught traceback
 
 
+@pytest.mark.parametrize("key, flag, flag_value, set_value", [
+    ("seed", "--seed", 5, 7),
+    ("output_dir", "--out", "from-flag", "from-set"),
+])
+def test_dedicated_flag_beats_set(monkeypatch, key, flag, flag_value,
+                                  set_value):
+    seen = []
+    monkeypatch.setattr("inboxaudit.cli.run_ingest",
+                        lambda cfg: (seen.append(cfg) or {}, None))
+    runner = CliRunner()
+    for args, expected in (
+            ([flag, str(flag_value), "--set", f"{key}={set_value}"], flag_value),
+            (["--set", f"{key}={set_value}", flag, str(flag_value)], flag_value),
+            (["--set", f"{key}={set_value}"], set_value)):
+        result = runner.invoke(main, ["ingest", *args])
+        assert result.exit_code == 0, result.output
+        assert getattr(seen.pop(), key) == expected, args
+
+
 def test_non_utf8_config_file_is_config_error(synth_corpus, tmp_path):
     config = tmp_path / "bad.cfg"
     config.write_bytes(b"seed=7\n# caf\xe9\n")
@@ -427,6 +476,23 @@ def test_stale_corpus_line_is_input_error(staged, synth_corpus, tmp_path, edit):
         main, ["classify", *cli_args(synth_corpus, tmp_path)])
     assert result.exit_code == 3, result.output
     assert f"corpus.jsonl:{i + 1}: bad corpus line" in result.output
+
+
+@pytest.mark.parametrize("name", ["corpus.jsonl", "classifications.jsonl"])
+def test_repeated_message_id_is_input_error(staged, synth_corpus, tmp_path,
+                                            name):
+    out, _ = staged
+    for artifact in ("corpus.jsonl", "classifications.jsonl"):
+        shutil.copy(out / artifact, tmp_path / artifact)
+    lines = (out / name).read_text(encoding="utf-8").splitlines()
+    message_id = json.loads(lines[2])["message_id"]
+    (tmp_path / name).write_text("\n".join([*lines, lines[2]]) + "\n",
+                                 encoding="utf-8")
+    result = CliRunner().invoke(
+        main, ["analyze", *cli_args(synth_corpus, tmp_path)])
+    assert result.exit_code == 3, result.output
+    assert (f"{name}: lines 3 and {len(lines) + 1}: repeated message_id "
+            f"{message_id!r}") in result.output
 
 
 def test_labels_of_another_corpus_are_input_error(staged, tmp_path):

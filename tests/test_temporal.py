@@ -11,8 +11,17 @@ from hypothesis import strategies as st
 
 from inboxaudit.temporal import (DailySeries, InsufficientSeriesError,
                                  build_daily_series, decompose_additive,
-                                 hour_day_matrix, reconstruction_errors,
-                                 spectrum_bins, spectrum_peaks)
+                                 hour_day_matrix, spectrum_bins,
+                                 spectrum_peaks)
+
+
+def reconstruction_errors(series, dec):
+    """|observed − (trend+seasonal+residual)| at interior points."""
+    errors = []
+    for value, t, s, r in zip(series.values, dec.trend, dec.seasonal, dec.residual):
+        if not math.isnan(t):
+            errors.append(abs(value - (t + s + r)))
+    return errors
 
 
 def stamp(day, hour=12):
