@@ -24,6 +24,12 @@ Values equal to nine significant digits count as a tie. A run still
 going after ten times ``run_seconds`` from ``BENCHMARK.json`` is killed
 and recorded as a run without a result.
 
+Each run also records the host's state next to its result:
+``load1_before``, the 1-minute load average just before it started, and
+``child_cpu_s``, the user plus system CPU seconds its processes used.
+With them a pair that ran while other work held the cores can be told
+apart from a change in the code.
+
 A metric is ``claimable`` when the change won at least nine tenths of
 the pairs run (a pair with a run that gave no result is not a win), the
 medians differ, in the better direction, by more than the base's
@@ -38,6 +44,7 @@ import json
 import math
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -55,7 +62,22 @@ def _describe(checkout: Path) -> str | None:
     return proc.stdout.strip() or None
 
 
+def _child_cpu_s() -> float:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def _run(checkout: Path, args: argparse.Namespace) -> dict:
+    """One run's result, with the host's load before it and the CPU
+    seconds its processes used."""
+    load1 = os.getloadavg()[0]
+    cpu_before = _child_cpu_s()
+    run = _run_once(checkout, args)
+    return {**run, "load1_before": load1,
+            "child_cpu_s": round(_child_cpu_s() - cpu_before, 3)}
+
+
+def _run_once(checkout: Path, args: argparse.Namespace) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
            "--seed", str(args.seed), "--trace", str(args.trace)]
     try:
@@ -160,7 +182,10 @@ def main() -> None:
             runs.append(run)
             wall = (run["result"] or {}).get("metrics", {}).get("wall_s", {})
             print(f"pair {pair} {side}: rc={run['returncode']} "
-                  f"wall_s={wall.get('value')}", file=sys.stderr, flush=True)
+                  f"wall_s={wall.get('value')} "
+                  f"load1_before={run['load1_before']:.2f} "
+                  f"child_cpu_s={run['child_cpu_s']}",
+                  file=sys.stderr, flush=True)
 
     report = (json.loads(args.out.read_text(encoding="utf-8"))
               if args.out.exists() else {"workloads": {}})

@@ -121,12 +121,25 @@ def parse_auth_results(values: Sequence[str], trusted_mx: str) -> AuthVerdict:
     return AuthVerdict(spf=spf, dkim=dkim, authenticated_domain=auth_domain)
 
 
+# a few ESP addresses send most of a service's mail, so the literals repeat
+_IP_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_IP_CACHE_SIZE)
+def canonical_ip(text: str) -> str | None:
+    """``str(ipaddress.ip_address(text))``; None when ``text`` is not an
+    IP address."""
+    try:
+        return str(ipaddress.ip_address(text))
+    except ValueError:
+        return None
+
+
 def _first_ip_in(text: str) -> str | None:
     for m in _BRACKET_IP_RE.finditer(text):
-        try:
-            return str(ipaddress.ip_address(m.group(1)))
-        except ValueError:
-            continue
+        ip = canonical_ip(m.group(1))
+        if ip is not None:
+            return ip
     return None
 
 

@@ -47,16 +47,23 @@ class Classification:
     def __post_init__(self):
         if self.label not in LABELS:
             raise ValueError(f"bad label: {self.label!r}")
-        if self.confidence not in (1, 2, 3, 4, 5):
-            raise ValueError(f"confidence must be 1-5: {self.confidence}")
+        # type() rather than isinstance: True and 2.0 are not counts
+        if type(self.confidence) is not int or not 1 <= self.confidence <= 5:
+            raise ValueError(f"confidence must be an int 1-5: {self.confidence!r}")
         if self.source not in (SOURCE_RULES, SOURCE_EXTERNAL):
             raise ValueError(f"bad source: {self.source!r}")
+        if type(self.retries) is not int or self.retries < 0:
+            raise ValueError(f"retries must be an int >= 0: {self.retries!r}")
 
     @classmethod
     def from_dict(cls, entry: dict) -> "Classification":
         """A record as JSON encodes it; ``retries`` and ``flags`` may be
-        missing, and an unknown key raises."""
-        return cls(**{**entry, "flags": tuple(entry.get("flags", ()))})
+        missing, and an unknown key raises, as does a ``flags`` that is
+        not a list of strings."""
+        flags = entry.get("flags", [])
+        if not isinstance(flags, list) or not all(isinstance(f, str) for f in flags):
+            raise ValueError(f"flags must be a list of strings: {flags!r}")
+        return cls(**{**entry, "flags": tuple(flags)})
 
 
 Rule = tuple[str, re.Pattern, float, str | None]

@@ -22,6 +22,17 @@ goes through `policy.default`'s header registry. The Date is not decoded
 but parsed once from its unfolded value, which gives the date its
 DateHeader would. So the record is the one a full `policy.default` parse
 gives, at a fraction of its cost.
+
+An alias mailbox repeats a few values many times over: one alias per
+service, a few sending addresses per service, a handful of MIME forms.
+So the steps that read those values are cached, process-wide and
+bounded: decoding the address and MIME headers, a From value to its
+address and root domain, a recipient value to its local part, and a
+leaf part's Content-Type to its type and charset. Received,
+Authentication-Results, Date, Message-ID and Subject are unique per
+message in real mail and are not cached. A cached step is pure and its
+result immutable; an exception is never cached, so it is raised again
+on every call, as without the cache.
 """
 
 from __future__ import annotations
@@ -36,11 +47,12 @@ from email.parser import BytesParser
 from email.policy import Compat32
 from email.utils import (format_datetime, getaddresses, parseaddr,
                          parsedate_to_datetime)
+from functools import lru_cache
 from html.parser import HTMLParser
 from zoneinfo import ZoneInfo
 
-from ..authlineage import (ABSENT, UNKNOWN_IP, VERDICTS, extract_sender_ip,
-                           parse_auth_results)
+from ..authlineage import (ABSENT, UNKNOWN_IP, VERDICTS, canonical_ip,
+                           extract_sender_ip, parse_auth_results)
 from .aliases import AliasEntry, AliasRegistry
 from .suffix import root_domain
 
@@ -56,6 +68,16 @@ _RECOGNIZED_HEADERS = frozenset({
 })
 
 _RECIPIENT_PRIORITY = ("delivered-to", "x-original-to", "to")
+
+# entries per cache of a value step; a mailbox of a few hundred services
+# repeats far fewer distinct values than this
+_VALUE_CACHE_SIZE = 1024
+# the headers whose decoded values are cached: the addresses and the MIME
+# headers the parser and _body_text read
+_REPEATING_HEADERS = frozenset({
+    "from", "to", "delivered-to", "x-original-to",
+    "content-type", "content-transfer-encoding",
+})
 
 # the record fields a corpus line holds as strings, and its two dates
 _TEXT_FIELDS = ("message_id", "from_address", "from_root_domain", "sender_ip",
@@ -89,11 +111,16 @@ class EmailRecord:
         """A record as `formats.write_jsonl` encodes it. An unknown or
         missing key raises, and so does a value of the wrong type: a text
         field that is not a string, a parse status or SPF/DKIM verdict
-        outside its enum, an alias that is neither an object nor
+        outside its enum, a sender IP that is neither UNKNOWN nor an IP
+        address's canonical text, an alias that is neither an object nor
         UNMATCHED, dates that do not fit the parse status or lack an offset."""
         wrong = [name for name in _TEXT_FIELDS if not isinstance(entry[name], str)]
         if wrong:
             raise TypeError(f"not a string: {', '.join(wrong)}")
+        sender_ip = entry["sender_ip"]
+        if sender_ip != UNKNOWN_IP and canonical_ip(sender_ip) != sender_ip:
+            raise ValueError(f"sender_ip {sender_ip!r} is neither {UNKNOWN_IP} "
+                             "nor an IP address in canonical form")
         if entry["parse_status"] not in (PARSE_OK, PARSE_UNPARSEABLE):
             raise ValueError(f"unknown parse_status {entry['parse_status']!r}")
         for name in ("spf", "dkim"):
@@ -205,6 +232,17 @@ def _decoded(name: str, value: str) -> str:
     return str(policy.default.header_fetch_parse(name, value))
 
 
+_repeating_decoded = lru_cache(maxsize=_VALUE_CACHE_SIZE)(_decoded)
+
+
+def _read(name: str, value: str) -> str:
+    """_decoded(name, value), cached for the _REPEATING_HEADERS."""
+    key = name.lower()
+    if key in _REPEATING_HEADERS:
+        return _repeating_decoded(key, value)
+    return _decoded(name, value)
+
+
 class _DecodingCompat32(Compat32):
     """compat32 parsing whose header values read as policy.default's would.
 
@@ -213,7 +251,7 @@ class _DecodingCompat32(Compat32):
     """
 
     def header_fetch_parse(self, name, value):
-        return _decoded(name, value)
+        return _read(name, value)
 
 
 _PARSE_POLICY = _DecodingCompat32()
@@ -225,7 +263,7 @@ def _first(headers: dict[str, list[str]], name: str) -> str:
     if not values:
         return ""
     try:
-        return _decoded(name, values[0])
+        return _read(name, values[0])
     except Exception:
         return ""
 
@@ -235,7 +273,7 @@ def _trace(headers: dict[str, list[str]], name: str) -> list[str]:
     decoded: list[str] = []
     for value in headers.get(name, ()):
         try:
-            decoded.append(_decoded(name, value))
+            decoded.append(_read(name, value))
         except Exception:
             decoded.append(value)
     return decoded
@@ -266,15 +304,65 @@ def _message_datetime(date: list[str], received: list[str]) -> datetime | None:
     return None
 
 
+@lru_cache(maxsize=_VALUE_CACHE_SIZE)
+def _from_fields(value: str) -> tuple[str, str]:
+    """A decoded From value's address and its root domain ("" when it
+    has none)."""
+    address = parseaddr(value)[1].strip()
+    if "@" not in address:
+        return address, ""
+    try:
+        return address, root_domain(address)
+    except ValueError:
+        return address, ""
+
+
+@lru_cache(maxsize=_VALUE_CACHE_SIZE)
+def _local_part(value: str) -> str:
+    """The lowercased local part of the first address in a decoded
+    recipient value; "" when it holds none."""
+    addresses = [addr for _, addr in getaddresses([value]) if "@" in addr]
+    if addresses:
+        return addresses[0].rsplit("@", 1)[0].strip().lower()
+    return ""
+
+
 def _recipient_local_part(headers: dict[str, list[str]]) -> str:
     for name in _RECIPIENT_PRIORITY:
         raw = _first(headers, name)
         if not raw:
             continue
-        addresses = [addr for _, addr in getaddresses([raw]) if "@" in addr]
-        if addresses:
-            return addresses[0].rsplit("@", 1)[0].strip().lower()
+        local = _local_part(raw)
+        if local:
+            return local
     return ""
+
+
+@lru_cache(maxsize=_VALUE_CACHE_SIZE)
+def _content_type_charset(raw: str | None, default_type: str) -> tuple:
+    """A part's get_content_type() and get_param("charset", "ASCII").
+
+    ``raw`` is the part's first raw Content-Type value, None when it has
+    none, and ``default_type`` its get_default_type(). The charset is
+    None when get_param raises; get_content_type's exception is raised.
+    """
+    part = Message(policy=_PARSE_POLICY)
+    part.set_default_type(default_type)
+    if raw is not None:
+        part["Content-Type"] = raw
+    ctype = part.get_content_type()
+    try:
+        return ctype, part.get_param("charset", "ASCII")
+    except Exception:
+        return ctype, None
+
+
+def _leaf_type(part: Message) -> tuple:
+    """_content_type_charset of ``part``: its type and charset, read once
+    per distinct Content-Type value and default type."""
+    raw = next((value for name, value in part.raw_items()
+                if name.lower() == "content-type"), None)
+    return _content_type_charset(raw, part.get_default_type())
 
 
 def _body_text(msg: Message) -> str:
@@ -288,15 +376,16 @@ def _body_text(msg: Message) -> str:
         if part.is_multipart():
             continue
         try:
-            ctype = part.get_content_type()
+            ctype, charset = _leaf_type(part)
         except Exception:
             continue
         if ctype not in ("text/plain", "text/html"):
             continue
         try:
-            # what policy.default's get_content() does for text parts
+            # what policy.default's get_content() does for text parts; a
+            # None charset (get_param raised) fails decode() alike
             content = part.get_payload(decode=True).decode(
-                part.get_param("charset", "ASCII"), errors="replace")
+                charset, errors="replace")
         except Exception:
             try:
                 payload = part.get_payload(decode=True)
@@ -358,7 +447,7 @@ def parse_eml(raw: bytes, registry: AliasRegistry,
         return _unparseable(raw)
 
     subject = re.sub(r"\s+", " ", _first(headers, "subject")).strip()
-    from_address = parseaddr(_first(headers, "from"))[1].strip()
+    from_address, from_root = _from_fields(_first(headers, "from"))
 
     received_values = _trace(headers, "received")
     received = _message_datetime(headers.get("date", []), received_values)
@@ -368,13 +457,6 @@ def parse_eml(raw: bytes, registry: AliasRegistry,
     message_id = _first(headers, "message-id").strip().strip("<>").strip()
     if not message_id:
         message_id = _content_hash_id(raw)
-
-    from_root = ""
-    if "@" in from_address:
-        try:
-            from_root = root_domain(from_address)
-        except ValueError:
-            from_root = ""
 
     alias = registry.match(_recipient_local_part(headers)) or UNMATCHED
 

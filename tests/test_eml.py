@@ -1,23 +1,29 @@
 """EML parsing: header precedence, dates, bodies, total-function behavior."""
 
 import base64
+import ipaddress
 import json
 from datetime import date, datetime, timezone
 from email import policy
 from email.message import Message
+from email.parser import BytesParser
 from email.utils import parsedate_to_datetime
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from inboxaudit.authlineage import ServiceOrgMap, classify_provenance
+from inboxaudit import authlineage
+from inboxaudit.authlineage import (ServiceOrgMap, canonical_ip,
+                                    classify_provenance)
 from inboxaudit.classify.rules import SOURCE_EXTERNAL, Classification
-from inboxaudit.corpus.aliases import AliasEntry, AliasRegistry
-from inboxaudit.corpus.eml import (_DATE_HEADERS, _PLAIN_FORMS, PARSE_OK,
-                                   PARSE_UNPARSEABLE, UNMATCHED, EmailRecord,
-                                   _decoded, _parse_date, html_to_text,
-                                   parse_eml)
+from inboxaudit.corpus import eml as eml_module
+from inboxaudit.corpus.aliases import (AliasEntry, AliasRegistry,
+                                       load_alias_registry)
+from inboxaudit.corpus.eml import (_DATE_HEADERS, _PARSE_POLICY, _PLAIN_FORMS,
+                                   PARSE_OK, PARSE_UNPARSEABLE, UNMATCHED,
+                                   EmailRecord, _decoded, _leaf_type,
+                                   _parse_date, html_to_text, parse_eml)
 from inboxaudit.formats import json_default
 from inboxaudit.synth import render_eml
 
@@ -524,3 +530,122 @@ def test_one_date_parse_matches_decoded_then_parsed(value):
     got, expected = _parse_date(value), _date_through_decoded(value)
     # equal instants are not enough: the offsets must agree too
     assert (got and got.isoformat()) == (expected and expected.isoformat())
+
+
+# --- the value caches change no record -------------------------------------
+
+VALUE_CACHES = (eml_module._repeating_decoded, eml_module._from_fields,
+                eml_module._local_part, eml_module._content_type_charset,
+                authlineage.canonical_ip)
+
+
+def _clear_value_caches():
+    for cache in VALUE_CACHES:
+        cache.cache_clear()
+
+
+def _records_three_ways(raws: list[bytes], registry) -> list:
+    """The records of ``raws`` parsed with every cache cleared before each
+    message, then in reverse order, then again with warm caches."""
+    def parse(raw):
+        return encoded(parse_eml(raw, registry, "America/New_York",
+                                 trusted_mx=TRUSTED))
+    cold = []
+    for raw in raws:
+        _clear_value_caches()
+        cold.append(parse(raw))
+    _clear_value_caches()
+    reverse = [parse(raw) for raw in reversed(raws)][::-1]
+    warm = [parse(raw) for raw in raws]
+    return [cold, reverse, warm]
+
+
+@pytest.mark.parametrize("corpus", ["synth_corpus", "grid_corpus"])
+def test_value_caches_change_no_corpus_record(request, corpus):
+    corpus = request.getfixturevalue(corpus)
+    raws = [path.read_bytes() for path in sorted(corpus.eml_dir.iterdir())]
+    cold, reverse, warm = _records_three_ways(
+        raws, load_alias_registry(corpus.registry_path))
+    assert cold == reverse == warm
+
+
+def test_value_caches_change_no_decoding_case(registry):
+    cold, reverse, warm = _records_three_ways(
+        [case[1] for case in DECODING_CASES], registry)
+    assert cold == reverse == warm
+
+
+_CONTENT_TYPE_PIECES = st.sampled_from([
+    "text/plain", "text/html", "TEXT/HTML", "text", "multipart/mixed",
+    "message/rfc822", "a/b/c", " ", ";", "; ", "=", '"', "\\", "'", "*",
+    "charset", "charset=utf-8", 'charset="utf-8"', 'charset="UTF-8 "',
+    "charset*=utf-8''%E9t%E9", "charset*=''", "charset*0=utf", "charset*1=-8",
+    "charset*0*=utf-8''a", "charset=iso-8859-1", "charset=x-unknown",
+    "charset=", "name=a", "boundary=b1", "é", "\udce9", "=?utf-8?q?a?=",
+    "\r\n ", "(comment)",
+])
+
+
+@given(values=st.lists(st.lists(_CONTENT_TYPE_PIECES, max_size=8).map("".join),
+                       max_size=2),
+       default=st.sampled_from(["text/plain", "message/rfc822"]))
+@example(values=[], default="text/plain")
+@example(values=[], default="message/rfc822")
+@example(values=["textplain"], default="message/rfc822")
+@example(values=['text/plain; charset="latin-1"'], default="text/plain")
+@example(values=["text/plain; charset*=utf-8''%E9"], default="text/plain")
+@example(values=["text/plain; charset=utf-8; charset=latin-1"],
+         default="text/plain")
+@example(values=["text/html; charset*0=utf; charset*=x"], default="text/plain")
+@example(values=["text/plain; charset=\udce9", "text/html"],
+         default="text/plain")
+def test_leaf_type_reads_as_message(values, default):
+    part = Message(policy=_PARSE_POLICY)
+    part["X-Other"] = "text/html"
+    for value in values:
+        part["Content-Type"] = value.lstrip(" \t")
+    part.set_default_type(default)
+    try:
+        ctype = part.get_content_type()
+    except Exception as exc:
+        with pytest.raises(type(exc)):
+            _leaf_type(part)
+        return
+    try:
+        charset = part.get_param("charset", "ASCII")
+    except Exception:
+        charset = None  # what _leaf_type gives when get_param raises
+    assert _leaf_type(part) == (ctype, charset)
+
+
+def test_leaf_type_in_a_digest():
+    # a digest part without Content-Type defaults to message/rfc822
+    raw = (b"Content-Type: multipart/digest; boundary=d\n\n--d\n\n"
+           b"Subject: inner\n\ninner body\n--d\n"
+           b"Content-Type: text/plain; charset=utf-8\n\nplain\n--d--\n")
+    msg = BytesParser(policy=_PARSE_POLICY).parsebytes(raw)
+    parts = list(msg.walk())
+    assert "message/rfc822" in [part.get_default_type() for part in parts]
+    for part in parts:
+        assert _leaf_type(part) == (part.get_content_type(),
+                                    part.get_param("charset", "ASCII"))
+
+
+def _ip_or_none(text: str) -> str | None:
+    try:
+        return str(ipaddress.ip_address(text))
+    except ValueError:
+        return None
+
+
+@given(st.one_of(
+    st.ip_addresses().map(str),
+    st.ip_addresses(v=6).map(lambda ip: ip.exploded.upper()),
+    st.lists(st.sampled_from(["0", "1", "01", "255", "256", "ff", "FFFF",
+                              "12345", ".", ":", "::", "%", "eth0", "x", ""]),
+             max_size=9).map("".join)))
+@example("not-an-ip")
+@example("010.1.1.1")
+@example("::FFFF:1.2.3.4")
+def test_canonical_ip_matches_ipaddress(text):
+    assert canonical_ip(text) == _ip_or_none(text)

@@ -458,10 +458,12 @@ def test_non_object_classification_line_is_input_error(staged, synth_corpus,
     lambda entry: entry.update(spf="yes"),
     lambda entry: entry.update(parse_status="bogus", received_utc=None,
                                received_local=None),
+    lambda entry: entry.update(sender_ip="not-an-ip"),
+    lambda entry: entry.update(sender_ip="2001:DB8::1"),
 ], ids=["unknown_key", "missing_key", "unknown_alias_key", "number_sender_ip",
         "undated_ok_record", "string_alias", "date_without_offset",
         "number_service_name", "float_alias_index", "unknown_spf_verdict",
-        "unknown_parse_status"])
+        "unknown_parse_status", "non_ip_sender_ip", "non_canonical_sender_ip"])
 def test_stale_corpus_line_is_input_error(staged, synth_corpus, tmp_path, edit):
     out, _ = staged
     lines = (out / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
@@ -522,6 +524,26 @@ def test_unknown_classification_key_is_input_error(staged, synth_corpus,
         main, ["analyze", *cli_args(synth_corpus, tmp_path)])
     assert result.exit_code == 3, result.output
     assert "classifications.jsonl:1: bad classification line" in result.output
+
+
+@pytest.mark.parametrize("values", [
+    {"confidence": True},
+    {"retries": "2"},
+    {"flags": "xy"},
+], ids=["bool_confidence", "string_retries", "string_flags"])
+def test_bad_classification_value_is_input_error(staged, synth_corpus,
+                                                 tmp_path, values):
+    out, _ = staged
+    shutil.copy(out / "corpus.jsonl", tmp_path / "corpus.jsonl")
+    lines = (out / "classifications.jsonl").read_text(
+        encoding="utf-8").splitlines()
+    lines[1] = json.dumps({**json.loads(lines[1]), **values})
+    (tmp_path / "classifications.jsonl").write_text("\n".join(lines) + "\n",
+                                                    encoding="utf-8")
+    result = CliRunner().invoke(
+        main, ["analyze", *cli_args(synth_corpus, tmp_path)])
+    assert result.exit_code == 3, result.output
+    assert "classifications.jsonl:2: bad classification line" in result.output
 
 
 @pytest.mark.parametrize("key,text", [
