@@ -47,7 +47,7 @@ class Classification:
     def __post_init__(self):
         if self.label not in LABELS:
             raise ValueError(f"bad label: {self.label!r}")
-        # type() rather than isinstance: True and 2.0 are not counts
+        # type(), not isinstance: a bool is an int
         if type(self.confidence) is not int or not 1 <= self.confidence <= 5:
             raise ValueError(f"confidence must be an int 1-5: {self.confidence!r}")
         if self.source not in (SOURCE_RULES, SOURCE_EXTERNAL):
