@@ -72,12 +72,6 @@ def _run(checkout: Path, args: argparse.Namespace) -> dict:
     seconds its processes used."""
     load1 = os.getloadavg()[0]
     cpu_before = _child_cpu_s()
-    run = _run_once(checkout, args)
-    return {**run, "load1_before": load1,
-            "child_cpu_s": round(_child_cpu_s() - cpu_before, 3)}
-
-
-def _run_once(checkout: Path, args: argparse.Namespace) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
            "--seed", str(args.seed), "--trace", str(args.trace)]
     try:
@@ -85,15 +79,18 @@ def _run_once(checkout: Path, args: argparse.Namespace) -> dict:
                               text=True, timeout=RUN_TIMEOUT_S)
     except subprocess.TimeoutExpired:
         sys.stderr.write(f"{checkout}: no result after {RUN_TIMEOUT_S} s\n")
-        return {"returncode": None, "result": None}
-    lines = proc.stdout.strip().splitlines()
-    try:
-        result = json.loads(lines[-1])
-    except (IndexError, json.JSONDecodeError):
-        result = None
-    if proc.returncode != 0 or result is None:
-        sys.stderr.write(proc.stderr[-2000:])
-    return {"returncode": proc.returncode, "result": result}
+        returncode, result = None, None
+    else:
+        lines = proc.stdout.strip().splitlines()
+        try:
+            result = json.loads(lines[-1])
+        except (IndexError, json.JSONDecodeError):
+            result = None
+        returncode = proc.returncode
+        if returncode != 0 or result is None:
+            sys.stderr.write(proc.stderr[-2000:])
+    return {"returncode": returncode, "result": result, "load1_before": load1,
+            "child_cpu_s": round(_child_cpu_s() - cpu_before, 3)}
 
 
 def _quartiles(values: list[float]) -> dict:

@@ -123,16 +123,25 @@ def parse_auth_results(values: Sequence[str], trusted_mx: str) -> AuthVerdict:
 
 # a few ESP addresses send most of a service's mail, so the literals repeat
 _IP_CACHE_SIZE = 1024
+# the longest text the cache keeps; an IP address's text has at most 45
+# characters before a scope id
+_MAX_CACHED_LITERAL = 64
 
 
 @lru_cache(maxsize=_IP_CACHE_SIZE)
-def canonical_ip(text: str) -> str | None:
-    """``str(ipaddress.ip_address(text))``; None when ``text`` is not an
-    IP address."""
+def _canonical_ip(text: str) -> str | None:
     try:
         return str(ipaddress.ip_address(text))
     except ValueError:
         return None
+
+
+def canonical_ip(text: str) -> str | None:
+    """``str(ipaddress.ip_address(text))``; None when ``text`` is not an
+    IP address. Cached, except for text too long to keep."""
+    if len(text) <= _MAX_CACHED_LITERAL:
+        return _canonical_ip(text)
+    return _canonical_ip.__wrapped__(text)
 
 
 def _first_ip_in(text: str) -> str | None:

@@ -24,11 +24,13 @@ DateHeader would. So the record is the one a full `policy.default` parse
 gives, at a fraction of its cost.
 
 An alias mailbox repeats a few values many times over: one alias per
-service, a few sending addresses per service, a handful of MIME forms.
-So the steps that read those values are cached, process-wide and
-bounded: decoding the address and MIME headers, a From value to its
-address and root domain, a recipient value to its local part, and a
-leaf part's Content-Type to its type and charset. Received,
+service and a few sending addresses per service. So the steps that read
+those values are cached process-wide: decoding the From, To,
+Delivered-To and X-Original-To values, a From value to its address and
+root domain, and a recipient value to its local part. Each cache holds
+at most `_VALUE_CACHE_SIZE` entries, and a value longer than
+`_MAX_CACHED_VALUE` characters is worked out afresh and never kept, so
+a huge header is freed with its message. Received,
 Authentication-Results, Date, Message-ID and Subject are unique per
 message in real mail and are not cached. A cached step is pure and its
 result immutable; an exception is never cached, so it is raised again
@@ -72,12 +74,11 @@ _RECIPIENT_PRIORITY = ("delivered-to", "x-original-to", "to")
 # entries per cache of a value step; a mailbox of a few hundred services
 # repeats far fewer distinct values than this
 _VALUE_CACHE_SIZE = 1024
-# the headers whose decoded values are cached: the addresses and the MIME
-# headers the parser and _body_text read
-_REPEATING_HEADERS = frozenset({
-    "from", "to", "delivered-to", "x-original-to",
-    "content-type", "content-transfer-encoding",
-})
+# the longest value a cache keeps; the repeating alias and sender values
+# are far shorter, a To with many recipients is not
+_MAX_CACHED_VALUE = 256
+# the headers whose decoded values are cached
+_REPEATING_HEADERS = frozenset({"from", "to", "delivered-to", "x-original-to"})
 
 # the record fields a corpus line holds as strings, and its two dates
 _TEXT_FIELDS = ("message_id", "from_address", "from_root_domain", "sender_ip",
@@ -236,11 +237,19 @@ _repeating_decoded = lru_cache(maxsize=_VALUE_CACHE_SIZE)(_decoded)
 
 
 def _read(name: str, value: str) -> str:
-    """_decoded(name, value), cached for the _REPEATING_HEADERS."""
+    """_decoded(name, value), cached for short _REPEATING_HEADERS values."""
     key = name.lower()
-    if key in _REPEATING_HEADERS:
+    if key in _REPEATING_HEADERS and len(value) <= _MAX_CACHED_VALUE:
         return _repeating_decoded(key, value)
     return _decoded(name, value)
+
+
+def _cached_if_short(step, value: str):
+    """``step(value)`` for an lru_cache'd ``step``; a value too long to
+    keep goes to the uncached function."""
+    if len(value) <= _MAX_CACHED_VALUE:
+        return step(value)
+    return step.__wrapped__(value)
 
 
 class _DecodingCompat32(Compat32):
@@ -318,13 +327,14 @@ def _from_fields(value: str) -> tuple[str, str]:
 
 
 @lru_cache(maxsize=_VALUE_CACHE_SIZE)
-def _local_part(value: str) -> str:
+def _local_part(value: str) -> str | None:
     """The lowercased local part of the first address in a decoded
-    recipient value; "" when it holds none."""
+    recipient value, "" when that part is empty; None when the value
+    holds no address."""
     addresses = [addr for _, addr in getaddresses([value]) if "@" in addr]
     if addresses:
         return addresses[0].rsplit("@", 1)[0].strip().lower()
-    return ""
+    return None
 
 
 def _recipient_local_part(headers: dict[str, list[str]]) -> str:
@@ -332,37 +342,11 @@ def _recipient_local_part(headers: dict[str, list[str]]) -> str:
         raw = _first(headers, name)
         if not raw:
             continue
-        local = _local_part(raw)
-        if local:
+        # an address with an empty local part still ends the search
+        local = _cached_if_short(_local_part, raw)
+        if local is not None:
             return local
     return ""
-
-
-@lru_cache(maxsize=_VALUE_CACHE_SIZE)
-def _content_type_charset(raw: str | None, default_type: str) -> tuple:
-    """A part's get_content_type() and get_param("charset", "ASCII").
-
-    ``raw`` is the part's first raw Content-Type value, None when it has
-    none, and ``default_type`` its get_default_type(). The charset is
-    None when get_param raises; get_content_type's exception is raised.
-    """
-    part = Message(policy=_PARSE_POLICY)
-    part.set_default_type(default_type)
-    if raw is not None:
-        part["Content-Type"] = raw
-    ctype = part.get_content_type()
-    try:
-        return ctype, part.get_param("charset", "ASCII")
-    except Exception:
-        return ctype, None
-
-
-def _leaf_type(part: Message) -> tuple:
-    """_content_type_charset of ``part``: its type and charset, read once
-    per distinct Content-Type value and default type."""
-    raw = next((value for name, value in part.raw_items()
-                if name.lower() == "content-type"), None)
-    return _content_type_charset(raw, part.get_default_type())
 
 
 def _body_text(msg: Message) -> str:
@@ -376,16 +360,15 @@ def _body_text(msg: Message) -> str:
         if part.is_multipart():
             continue
         try:
-            ctype, charset = _leaf_type(part)
+            ctype = part.get_content_type()
         except Exception:
             continue
         if ctype not in ("text/plain", "text/html"):
             continue
         try:
-            # what policy.default's get_content() does for text parts; a
-            # None charset (get_param raised) fails decode() alike
+            # what policy.default's get_content() does for text parts
             content = part.get_payload(decode=True).decode(
-                charset, errors="replace")
+                part.get_param("charset", "ASCII"), errors="replace")
         except Exception:
             try:
                 payload = part.get_payload(decode=True)
@@ -447,7 +430,8 @@ def parse_eml(raw: bytes, registry: AliasRegistry,
         return _unparseable(raw)
 
     subject = re.sub(r"\s+", " ", _first(headers, "subject")).strip()
-    from_address, from_root = _from_fields(_first(headers, "from"))
+    from_address, from_root = _cached_if_short(_from_fields,
+                                               _first(headers, "from"))
 
     received_values = _trace(headers, "received")
     received = _message_datetime(headers.get("date", []), received_values)

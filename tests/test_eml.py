@@ -6,7 +6,6 @@ import json
 from datetime import date, datetime, timezone
 from email import policy
 from email.message import Message
-from email.parser import BytesParser
 from email.utils import parsedate_to_datetime
 
 import pytest
@@ -20,10 +19,10 @@ from inboxaudit.classify.rules import SOURCE_EXTERNAL, Classification
 from inboxaudit.corpus import eml as eml_module
 from inboxaudit.corpus.aliases import (AliasEntry, AliasRegistry,
                                        load_alias_registry)
-from inboxaudit.corpus.eml import (_DATE_HEADERS, _PARSE_POLICY, _PLAIN_FORMS,
-                                   PARSE_OK, PARSE_UNPARSEABLE, UNMATCHED,
-                                   EmailRecord, _decoded, _leaf_type,
-                                   _parse_date, html_to_text, parse_eml)
+from inboxaudit.corpus.eml import (_DATE_HEADERS, _PLAIN_FORMS, PARSE_OK,
+                                   PARSE_UNPARSEABLE, UNMATCHED, EmailRecord,
+                                   _decoded, _parse_date, html_to_text,
+                                   parse_eml)
 from inboxaudit.formats import json_default
 from inboxaudit.synth import render_eml
 
@@ -329,6 +328,10 @@ DECODING_CASES = [
     ("to_with_comment",
      eml({b"Delivered-To": None, b"To": b"maple007@audit.example (me)"}),
      {}),
+    # an address with an empty local part ends the recipient search
+    ("delivered_to_empty_local_part",
+     eml({b"Delivered-To": b"@example.com"}),
+     {"alias": UNMATCHED}),
     ("message_id_trailing_text",
      eml({b"Message-ID": b"<msg-1@shopzilla.com> extra"}),
      {}),
@@ -535,8 +538,7 @@ def test_one_date_parse_matches_decoded_then_parsed(value):
 # --- the value caches change no record -------------------------------------
 
 VALUE_CACHES = (eml_module._repeating_decoded, eml_module._from_fields,
-                eml_module._local_part, eml_module._content_type_charset,
-                authlineage.canonical_ip)
+                eml_module._local_part, authlineage._canonical_ip)
 
 
 def _clear_value_caches():
@@ -575,62 +577,6 @@ def test_value_caches_change_no_decoding_case(registry):
     assert cold == reverse == warm
 
 
-_CONTENT_TYPE_PIECES = st.sampled_from([
-    "text/plain", "text/html", "TEXT/HTML", "text", "multipart/mixed",
-    "message/rfc822", "a/b/c", " ", ";", "; ", "=", '"', "\\", "'", "*",
-    "charset", "charset=utf-8", 'charset="utf-8"', 'charset="UTF-8 "',
-    "charset*=utf-8''%E9t%E9", "charset*=''", "charset*0=utf", "charset*1=-8",
-    "charset*0*=utf-8''a", "charset=iso-8859-1", "charset=x-unknown",
-    "charset=", "name=a", "boundary=b1", "é", "\udce9", "=?utf-8?q?a?=",
-    "\r\n ", "(comment)",
-])
-
-
-@given(values=st.lists(st.lists(_CONTENT_TYPE_PIECES, max_size=8).map("".join),
-                       max_size=2),
-       default=st.sampled_from(["text/plain", "message/rfc822"]))
-@example(values=[], default="text/plain")
-@example(values=[], default="message/rfc822")
-@example(values=["textplain"], default="message/rfc822")
-@example(values=['text/plain; charset="latin-1"'], default="text/plain")
-@example(values=["text/plain; charset*=utf-8''%E9"], default="text/plain")
-@example(values=["text/plain; charset=utf-8; charset=latin-1"],
-         default="text/plain")
-@example(values=["text/html; charset*0=utf; charset*=x"], default="text/plain")
-@example(values=["text/plain; charset=\udce9", "text/html"],
-         default="text/plain")
-def test_leaf_type_reads_as_message(values, default):
-    part = Message(policy=_PARSE_POLICY)
-    part["X-Other"] = "text/html"
-    for value in values:
-        part["Content-Type"] = value.lstrip(" \t")
-    part.set_default_type(default)
-    try:
-        ctype = part.get_content_type()
-    except Exception as exc:
-        with pytest.raises(type(exc)):
-            _leaf_type(part)
-        return
-    try:
-        charset = part.get_param("charset", "ASCII")
-    except Exception:
-        charset = None  # what _leaf_type gives when get_param raises
-    assert _leaf_type(part) == (ctype, charset)
-
-
-def test_leaf_type_in_a_digest():
-    # a digest part without Content-Type defaults to message/rfc822
-    raw = (b"Content-Type: multipart/digest; boundary=d\n\n--d\n\n"
-           b"Subject: inner\n\ninner body\n--d\n"
-           b"Content-Type: text/plain; charset=utf-8\n\nplain\n--d--\n")
-    msg = BytesParser(policy=_PARSE_POLICY).parsebytes(raw)
-    parts = list(msg.walk())
-    assert "message/rfc822" in [part.get_default_type() for part in parts]
-    for part in parts:
-        assert _leaf_type(part) == (part.get_content_type(),
-                                    part.get_param("charset", "ASCII"))
-
-
 def _ip_or_none(text: str) -> str | None:
     try:
         return str(ipaddress.ip_address(text))
@@ -649,3 +595,16 @@ def _ip_or_none(text: str) -> str | None:
 @example("::FFFF:1.2.3.4")
 def test_canonical_ip_matches_ipaddress(text):
     assert canonical_ip(text) == _ip_or_none(text)
+
+
+def test_long_header_values_are_not_cached(registry):
+    recipients = ", ".join(f"r{i}@audit.example" for i in range(500))
+    raw = eml({b"Delivered-To": None, b"Received": None,
+               b"From": b"Shopzilla " + b"x" * 500 + b" <deals@shopzilla.com>",
+               b"To": f"maple007@audit.example, {recipients}".encode()})
+    _clear_value_caches()
+    rec = parse_eml(raw, registry, "America/New_York", trusted_mx=TRUSTED)
+    assert (rec.alias.local_part, rec.from_address) == (
+        "maple007", "deals@shopzilla.com")
+    assert canonical_ip("1." * 40 + "1") is None
+    assert [cache.cache_info().currsize for cache in VALUE_CACHES] == [0] * 4
