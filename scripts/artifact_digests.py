@@ -15,6 +15,13 @@ few days for the analyze stage). The generators come from this
 checkout, the pipeline from whatever ``inboxaudit`` is first on the path,
 so two runs that differ only in ``PYTHONPATH`` compare two pipelines on
 the same bytes.
+
+``tests/data/artifact_digests_seed101.txt`` holds this script's
+``--seed 101`` output; the test suite compares ``digest_lines(101)``
+with it. A change that alters an artifact on purpose rewrites the file:
+
+    PYTHONPATH=src python3 scripts/artifact_digests.py --seed 101 \\
+        > tests/data/artifact_digests_seed101.txt
 """
 
 from __future__ import annotations
@@ -74,19 +81,17 @@ def _digests(name: str, out: Path) -> list[str]:
             for path in sorted(out.iterdir()) if path.is_file()]
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, default=101,
-                        help="seed of the perfbench workloads")
-    args = parser.parse_args()
+def digest_lines(seed: int) -> list[str]:
+    """One ``<sha256>  <run>/<artifact>`` line per artifact written, with
+    the perfbench workloads generated at ``seed``."""
     lines: list[str] = []
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for name, make in (
-                ("paper_inbox", lambda r: gen.make_paper_inbox(r, args.seed,
+                ("paper_inbox", lambda r: gen.make_paper_inbox(r, seed,
                                                                TABLE_CSV)),
-                ("asn_ranges", lambda r: gen.make_asn_ranges(r, args.seed)),
-                ("llm_classify", lambda r: gen.make_llm_classify(r, args.seed,
+                ("asn_ranges", lambda r: gen.make_asn_ranges(r, seed)),
+                ("llm_classify", lambda r: gen.make_llm_classify(r, seed,
                                                                  TABLE_CSV))):
             inputs = make(work / name / "inputs")
             out = work / name / "out"
@@ -108,7 +113,15 @@ def main() -> int:
         run_ingest(cfg)
         run_classify(cfg)
         lines += _digests("grid", work / "grid" / "out")
-    print("\n".join(lines))
+    return lines
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, default=101,
+                        help="seed of the perfbench workloads")
+    args = parser.parse_args()
+    print("\n".join(digest_lines(args.seed)))
     return 0
 
 

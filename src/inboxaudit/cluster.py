@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .classify.rules import LABELS
+
+if TYPE_CHECKING:
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -40,6 +42,7 @@ def build_features(by_service: dict[str, list], profiles) -> np.ndarray:
     the same order. Every row carries a content label, so each company's
     mix sums to 1.
     """
+    import numpy as np
     if len(by_service) < 2:
         raise InsufficientCompaniesError(
             f"need >= 2 companies with mail, have {len(by_service)}")
@@ -65,6 +68,7 @@ def build_features(by_service: dict[str, list], profiles) -> np.ndarray:
 
 def standardize(matrix: np.ndarray) -> np.ndarray:
     """Column z-scores (population stddev); constant columns become zeros."""
+    import numpy as np
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] < 2:
         raise ValueError("standardize needs a 2-d matrix with >= 2 rows")
@@ -87,6 +91,7 @@ class PcaModel:
     eigenvalues: list[float]             # all, descending
 
     def transform(self, matrix: np.ndarray) -> np.ndarray:
+        import numpy as np
         return (np.asarray(matrix, dtype=float) - self.mean) @ self.components.T
 
 
@@ -98,6 +103,7 @@ def pca_fit(matrix: np.ndarray, n_components: int = 5) -> PcaModel:
     so its largest-magnitude entry is positive. Requests beyond the data
     rank clamp with a warning.
     """
+    import numpy as np
     x = np.asarray(matrix, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("pca_fit needs a 2-d matrix with >= 2 rows")
@@ -142,6 +148,7 @@ class KmeansResult:
 
 
 def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    import numpy as np
     n = x.shape[0]
     centroids = np.empty((k, x.shape[1]))
     first = int(rng.integers(n))
@@ -161,6 +168,7 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
 
 def _lloyd(x: np.ndarray, centroids: np.ndarray
            ) -> tuple[np.ndarray, float, list[float]]:
+    import numpy as np
     n, k = x.shape[0], centroids.shape[0]
     labels = np.full(n, -1)
     history: list[float] = []
@@ -188,6 +196,7 @@ def _lloyd(x: np.ndarray, centroids: np.ndarray
 def kmeans(matrix: np.ndarray, k: int, seed: int = DEFAULT_SEED,
            restarts: int = 10) -> KmeansResult:
     """Best-of-restarts K-Means with k-means++ seeding and Lloyd refinement."""
+    import numpy as np
     x = np.asarray(matrix, dtype=float)
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
@@ -206,6 +215,7 @@ def kmeans(matrix: np.ndarray, k: int, seed: int = DEFAULT_SEED,
 
 def silhouette(matrix: np.ndarray, labels: np.ndarray) -> float:
     """Mean silhouette over points; singleton-cluster points score 0."""
+    import numpy as np
     x = np.asarray(matrix, dtype=float)
     labels = np.asarray(labels)
     unique = np.unique(labels)
@@ -245,6 +255,7 @@ def select_k(matrix: np.ndarray, k_min: int = 2, k_max: int = 10,
 
     Rows that are all equal have no second cluster to find: that raises
     InsufficientCompaniesError before any fit."""
+    import numpy as np
     x = np.asarray(matrix, dtype=float)
     n = x.shape[0]
     clamped = False
@@ -275,6 +286,7 @@ def loadings_report(pca: PcaModel, selection: SelectionResult,
                     feature_names: list[str], scores: np.ndarray,
                     top_n: int = 5) -> dict:
     """Interpretation aid: per-cluster mean component scores + top loadings."""
+    import numpy as np
     report: dict = {"components": [], "clusters": []}
     for i, component in enumerate(pca.components):
         idx = np.argsort(-np.abs(component))[:top_n]

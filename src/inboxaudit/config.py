@@ -3,9 +3,16 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from urllib.parse import urlsplit
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
+
+
+# The socket layer rejects timeouts far past this (1e12 s overflows);
+# no endpoint reply is worth waiting longer than a day for.
+MAX_ADAPTER_TIMEOUT_S = 86_400.0
 
 
 class ConfigError(ValueError):
@@ -45,8 +52,15 @@ class AuditConfig:
             raise ConfigError(f"classifier must be rules|external, got {self.classifier!r}")
         if self.classifier == "external" and not self.adapter.endpoint:
             raise ConfigError("classifier=external requires adapter_endpoint")
-        if self.adapter.timeout_s <= 0:
-            raise ConfigError("adapter_timeout_s must be positive")
+        if self.adapter.endpoint and not _is_http_url(self.adapter.endpoint):
+            raise ConfigError(
+                f"adapter_endpoint must be an absolute http(s) URL with a "
+                f"host, got {self.adapter.endpoint!r}")
+        timeout = self.adapter.timeout_s
+        if not (math.isfinite(timeout) and 0 < timeout <= MAX_ADAPTER_TIMEOUT_S):
+            raise ConfigError(
+                f"adapter_timeout_s must be a finite number of seconds above "
+                f"0 and at most {MAX_ADAPTER_TIMEOUT_S:g}, got {timeout!r}")
         if self.adapter.retries < 0:
             raise ConfigError("adapter_retries must be >= 0")
         if self.adapter.pool_size < 1:
@@ -60,6 +74,15 @@ class AuditConfig:
         except (ZoneInfoNotFoundError, ValueError) as exc:
             raise ConfigError(
                 f"unknown audit_timezone: {self.audit_timezone!r}") from exc
+
+
+def _is_http_url(text: str) -> bool:
+    try:
+        url = urlsplit(text)
+        url.port  # raises on a port that is not a number in range
+    except ValueError:
+        return False
+    return url.scheme in ("http", "https") and bool(url.hostname)
 
 
 _SCALAR_FIELDS = {f.name: f.type for f in dataclasses.fields(AuditConfig)

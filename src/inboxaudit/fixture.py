@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .classify.rules import LABELS
 from .cluster import kmeans
@@ -23,6 +22,9 @@ from .stats.core import (
     descriptive,
     one_way_anova,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXPECTED_ROWS = 109
 # Messages in the paper's corpus. The bundled rows sum to 4,842, so
@@ -100,6 +102,7 @@ def feature_subset(rows: list[CompanyRow]) -> tuple[list[str], np.ndarray]:
     that includes temporal columns; this subset is the part the table
     can reconstruct, so membership checks against it are soft.
     """
+    import numpy as np
     companies = [r.company for r in rows]
     matrix = np.zeros((len(rows), 4))
     for i, row in enumerate(rows):

@@ -13,12 +13,11 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 from collections import Counter
 from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
-
-import numpy as np
 
 from .authlineage import ServiceOrgMap, classify_provenance
 from .classify.adapter import classify_records
@@ -327,9 +326,9 @@ def run_analyze(cfg: AuditConfig, store: CorpusStore | None = None,
                ["day", "observed", "trend", "seasonal", "residual"],
                [[dates[i].isoformat(),
                  float(series.values[i]),
-                 float(dec.trend[i]) if np.isfinite(dec.trend[i]) else "",
+                 float(dec.trend[i]) if math.isfinite(dec.trend[i]) else "",
                  float(dec.seasonal[i]),
-                 float(dec.residual[i]) if np.isfinite(dec.residual[i]) else ""]
+                 float(dec.residual[i]) if math.isfinite(dec.residual[i]) else ""]
                 for i in range(len(series.values))])
     _write_csv(out / "heatmap.csv", ["dow", "hour", "count"],
                [[dow, hour, matrix[dow][hour]]

@@ -8,8 +8,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date, timedelta
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class InsufficientSeriesError(ValueError):
@@ -58,6 +60,7 @@ def spectrum_bins(series: DailySeries, sigma: float = 2.0) -> list[SpectrumBin]:
     Bins k=1..N//2 at frequency k/N cycles/day. A bin is a peak when its
     magnitude exceeds mean + sigma*stddev over all non-DC magnitudes.
     """
+    import numpy as np
     n = len(series.values)
     if n < 16:
         raise InsufficientSeriesError(f"need >= 16 days for a spectrum, have {n}")
@@ -81,6 +84,7 @@ def spectrum_peaks(series: DailySeries, sigma: float = 2.0) -> list[SpectrumBin]
 
 
 def _centered_trend(x: np.ndarray, period: int) -> np.ndarray:
+    import numpy as np
     n = len(x)
     if period % 2 == 1:
         weights = np.full(period, 1.0 / period)
@@ -102,6 +106,7 @@ def decompose_additive(series: DailySeries, period: int = 7) -> Decomposition:
     trend+seasonal+residual reconstructs the series wherever the trend
     is defined.
     """
+    import numpy as np
     n = len(series.values)
     if period < 2:
         raise ValueError(f"period must be >= 2, got {period}")

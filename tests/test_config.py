@@ -98,10 +98,25 @@ def test_bad_coercion_is_config_error():
     ({"audit_timezone": "../etc/localtime"}, "audit_timezone"),
     ({"seed": "-1"}, "seed"),
     ({"trusted_mx": ""}, "trusted_mx"),
+    # the socket layer cannot take these; none of them opens a socket
+    ({"adapter_timeout_s": "nan"}, "adapter_timeout_s"),
+    ({"adapter_timeout_s": "inf"}, "adapter_timeout_s"),
+    ({"adapter_timeout_s": "1e12"}, "adapter_timeout_s"),
+    # requests would fail every attempt, and each message fall back to rules
+    ({"classifier": "external", "adapter_endpoint": "classifier.local/v1"},
+     "adapter_endpoint"),
+    ({"classifier": "external", "adapter_endpoint": "ftp://x"},
+     "adapter_endpoint"),
+    ({"classifier": "external", "adapter_endpoint": "http://"},
+     "adapter_endpoint"),
+    ({"classifier": "external", "adapter_endpoint": "http://x:99999/v1"},
+     "adapter_endpoint"),
 ], ids=[  # each case keeps the name it had when the list was longer
     "values0-classifier", "values1-adapter_endpoint",
     "values8-pca_variance_threshold", "values9-audit_timezone",
-    "values10-audit_timezone", "values11-seed", "values14-trusted_mx"])
+    "values10-audit_timezone", "values11-seed", "values14-trusted_mx",
+    "timeout-nan", "timeout-inf", "timeout-1e12", "endpoint-no-scheme",
+    "endpoint-ftp", "endpoint-no-host", "endpoint-bad-port"])
 def test_validation_rejections(values, needle):
     with pytest.raises(ConfigError, match=needle):
         build_config(file_values=values)
@@ -121,6 +136,17 @@ def test_validate_direct():
     cfg = AuditConfig(classifier="external",
                       adapter=type(AuditConfig().adapter)(endpoint="http://x"))
     cfg.validate()  # endpoint present, so external is fine
+
+
+@pytest.mark.parametrize("endpoint, timeout", [
+    ("https://classifier.example:8443/v1", "86400"),
+    ("HTTP://[::1]/classify", "0.001"),
+])
+def test_adapter_limits_accept(endpoint, timeout):
+    cfg = build_config(file_values={"classifier": "external",
+                                    "adapter_endpoint": endpoint,
+                                    "adapter_timeout_s": timeout})
+    assert cfg.adapter.timeout_s == float(timeout)
 
 
 @pytest.mark.parametrize("values,needle", [

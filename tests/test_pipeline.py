@@ -1,6 +1,7 @@
 """End-to-end pipeline and CLI behavior, including artifact schemas."""
 
 import csv
+import importlib.util
 import json
 import os
 import shutil
@@ -102,27 +103,61 @@ def test_cli_report_chains_everything(synth_corpus, staged, tmp_path):
 STARTUP_FREE_MODULES = ["requests", "urllib3", "charset_normalizer", "idna",
                         "ssl", "http.client", "multiprocessing",
                         "concurrent.futures.process"]
+# only the analysis (analyze, report, fixture-check) needs numpy
+ANALYSIS_MODULES = ["numpy"]
 
-_REPORT_THEN_LIST_MODULES = """
+_RUN_THEN_LIST_MODULES = """
 import json, sys
 from inboxaudit.cli import main
-main(sys.argv[1:], standalone_mode=False)
+if sys.argv[1:]:
+    main(sys.argv[1:], standalone_mode=False)
 print(json.dumps([m for m in {modules!r} if m in sys.modules]))
 """
 
 
-def test_rules_report_loads_no_http_client(synth_corpus, tmp_path):
+@pytest.fixture(scope="module")
+def stage_processes(synth_corpus, tmp_path_factory):
+    """One fresh process each: import the CLI; then rules-mode ingest,
+    classify and analyze sharing one directory; then report in another.
+    Maps each to (its process, its output directory)."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    code = _REPORT_THEN_LIST_MODULES.format(modules=STARTUP_FREE_MODULES)
-    result = subprocess.run(
-        [sys.executable, "-c", code, "report",
-         *cli_args(synth_corpus, tmp_path)],
-        env=env, capture_output=True, text=True)
+    code = _RUN_THEN_LIST_MODULES.format(
+        modules=STARTUP_FREE_MODULES + ANALYSIS_MODULES)
+    staged = tmp_path_factory.mktemp("staged_processes")
+    reported = tmp_path_factory.mktemp("report_process")
+    runs = {}
+    for name, out in (("import", staged), ("ingest", staged),
+                      ("classify", staged), ("analyze", staged),
+                      ("report", reported)):
+        args = [] if name == "import" else [name, *cli_args(synth_corpus, out)]
+        runs[name] = subprocess.run([sys.executable, "-c", code, *args],
+                                    env=env, capture_output=True, text=True), out
+    return runs
+
+
+@pytest.mark.parametrize("stage, absent", [
+    ("import", STARTUP_FREE_MODULES + ANALYSIS_MODULES),
+    ("ingest", STARTUP_FREE_MODULES + ANALYSIS_MODULES),
+    ("classify", STARTUP_FREE_MODULES + ANALYSIS_MODULES),
+    ("analyze", STARTUP_FREE_MODULES),
+    ("report", STARTUP_FREE_MODULES),
+], ids=["import", "ingest", "classify", "analyze", "report"])
+def test_stage_process_leaves_modules_unloaded(stage_processes, stage, absent):
+    result, _ = stage_processes[stage]
     assert result.returncode == 0, result.stderr
-    assert (tmp_path / "report.json").is_file()
-    assert json.loads(result.stdout.splitlines()[-1]) == []
+    loaded = json.loads(result.stdout.splitlines()[-1])
+    assert [m for m in absent if m in loaded] == []
+
+
+def test_analyze_process_writes_report_artifacts(stage_processes):
+    (_, staged), (_, reported) = (stage_processes["analyze"],
+                                  stage_processes["report"])
+    assert (reported / "report.json").is_file()
+    for name in ANALYZE_ARTIFACTS:
+        assert (staged / name).read_bytes() == (reported / name).read_bytes(), \
+            name
 
 
 def test_ingest_report_matches_expectations(staged, synth_corpus):
@@ -386,6 +421,22 @@ def test_zero_adapter_timeout_is_config_error(synth_corpus, tmp_path):
                "--set", "adapter_timeout_s=0"])
     assert result.exit_code == 2
     assert "adapter_timeout_s" in result.output
+
+
+@pytest.mark.parametrize("setting", [
+    "adapter_timeout_s=inf", "adapter_endpoint=classifier.local/v1"])
+def test_unusable_adapter_setting_is_config_error(synth_corpus, tmp_path,
+                                                  setting):
+    # unchecked, inf overflows in the socket layer with a traceback, and a
+    # schemeless endpoint exits 0 with every message fallen back to rules
+    result = CliRunner().invoke(
+        main, ["classify", *cli_args(synth_corpus, tmp_path),
+               "--set", "classifier=external",
+               "--set", "adapter_endpoint=http://127.0.0.1:9/classify",
+               "--set", setting])
+    assert result.exit_code == 2, result.output
+    assert f"config error: {setting.partition('=')[0]}" in result.output
+    assert isinstance(result.exception, SystemExit)  # no uncaught traceback
 
 
 def test_missing_corpus_dir_is_input_error(synth_corpus, tmp_path):
@@ -797,6 +848,28 @@ def test_artifact_digests_without_inboxaudit_prints_a_hint():
     assert result.stderr.splitlines() == [
         "artifact_digests.py: cannot import inboxaudit; "
         "set PYTHONPATH to a checkout's src"]
+
+
+PINNED_DIGESTS = Path(__file__).resolve().parent / "data" / \
+    "artifact_digests_seed101.txt"
+
+
+def test_artifact_digests_match_pinned_file():
+    """Every artifact of the reference runs has the sha256 pinned in
+    ``tests/data``, written by ``artifact_digests.py --seed 101``.
+
+    The file was made with CPython 3.11.7 (GCC 12.2.0, x86_64) and numpy
+    2.4.6 (scipy-openblas 0.3.31). Other numpy or BLAS builds may round
+    the PCA, K-Means or FFT results differently and so change the analyze
+    lines; a change that alters an artifact on purpose rewrites the file
+    and names the lines that moved."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / \
+        "artifact_digests.py"
+    spec = importlib.util.spec_from_file_location("artifact_digests", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.digest_lines(101) == PINNED_DIGESTS.read_text(
+        encoding="utf-8").splitlines()
 
 
 class _FailingHandler(BaseHTTPRequestHandler):
