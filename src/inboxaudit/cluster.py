@@ -5,6 +5,10 @@ The 36-column feature layout is frozen: hourly[0..23], weekly[0..6]
 alert), total volume. Proportions carry the content signal so volume
 lives only in the final column. Every randomized routine takes an
 explicit seed and is deterministic for a fixed one.
+
+numpy is imported inside the functions that use it: every stage
+process imports this module through the CLI, and only the analysis
+needs numpy.
 """
 
 from __future__ import annotations

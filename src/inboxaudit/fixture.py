@@ -4,6 +4,10 @@ validation; nothing here ever mutates the shipped file.
 
 The table's rows and analyze's per-company rows share one shape,
 ``CompanyRow``, and one sector contingency and grouping code path.
+
+numpy is imported inside the functions that use it: every stage
+process imports this module through the CLI, and only the analysis
+needs numpy.
 """
 
 from __future__ import annotations

@@ -2,6 +2,10 @@
 
 All clocks run in the configured audit timezone. Every record passed in
 is parsed mail, which always carries its local timestamp.
+
+numpy is imported inside the functions that use it: every stage
+process imports this module through the CLI, and only the analysis
+needs numpy.
 """
 
 from __future__ import annotations
