@@ -28,7 +28,10 @@ Each run also records the host's state next to its result:
 ``load1_before``, the 1-minute load average just before it started, and
 ``child_cpu_s``, the user plus system CPU seconds its processes used.
 With them a pair that ran while other work held the cores can be told
-apart from a change in the code.
+apart from a change in the code. ``rounds`` keeps the run's ``wall_s``
+of every round, in order, and its ``setup_s`` samples, as ``run.py``
+prints them before its result (null when it printed none), so work
+that moves into the first round shows.
 
 A metric is ``claimable`` when the change won at least nine tenths of
 the pairs run (a pair with a run that gave no result is not a win), the
@@ -44,6 +47,7 @@ import json
 import math
 import os
 import platform
+import re
 import resource
 import statistics
 import subprocess
@@ -54,6 +58,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("base", "change")
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 RUN_TIMEOUT_S = 10 * SPEC["run_seconds"]
+# run.py's line before its result: rounds: 3, wall_s [..], setup_s [..]
+ROUNDS_LINE = re.compile(r"rounds: \d+, wall_s (\[.*\]), setup_s (\[.*\])")
 
 
 def _describe(checkout: Path) -> str | None:
@@ -67,9 +73,20 @@ def _child_cpu_s() -> float:
     return usage.ru_utime + usage.ru_stime
 
 
+def _rounds(lines: list[str]) -> dict | None:
+    """The per-round ``wall_s`` and the ``setup_s`` samples of the last
+    rounds line in ``lines``; None when there is none."""
+    for line in reversed(lines):
+        match = ROUNDS_LINE.fullmatch(line.strip())
+        if match:
+            return {"wall_s": json.loads(match[1]),
+                    "setup_s": json.loads(match[2])}
+    return None
+
+
 def _run(checkout: Path, args: argparse.Namespace) -> dict:
-    """One run's result, with the host's load before it and the CPU
-    seconds its processes used."""
+    """One run's result and round times, with the host's load before it
+    and the CPU seconds its processes used."""
     load1 = os.getloadavg()[0]
     cpu_before = _child_cpu_s()
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
@@ -79,9 +96,10 @@ def _run(checkout: Path, args: argparse.Namespace) -> dict:
                               text=True, timeout=RUN_TIMEOUT_S)
     except subprocess.TimeoutExpired:
         sys.stderr.write(f"{checkout}: no result after {RUN_TIMEOUT_S} s\n")
-        returncode, result = None, None
+        returncode, result, rounds = None, None, None
     else:
         lines = proc.stdout.strip().splitlines()
+        rounds = _rounds(lines)
         try:
             result = json.loads(lines[-1])
         except (IndexError, json.JSONDecodeError):
@@ -89,7 +107,8 @@ def _run(checkout: Path, args: argparse.Namespace) -> dict:
         returncode = proc.returncode
         if returncode != 0 or result is None:
             sys.stderr.write(proc.stderr[-2000:])
-    return {"returncode": returncode, "result": result, "load1_before": load1,
+    return {"returncode": returncode, "result": result, "rounds": rounds,
+            "load1_before": load1,
             "child_cpu_s": round(_child_cpu_s() - cpu_before, 3)}
 
 

@@ -41,9 +41,9 @@ class InsufficientCompaniesError(ValueError):
 def build_features(by_service: dict[str, list], profiles) -> np.ndarray:
     """One 36-dim row per company, in the grouping's (name-sorted) order.
 
-    The clock comes from each company's message rows, every one of them
-    dated; the marketing flag, content mix and total from its profile, in
-    the same order. Every row carries a content label, so each company's
+    The clock comes from each company's message rows, in the audit
+    timezone; the marketing flag, content mix and total from its profile,
+    in the same order. Every row carries a content label, so each company's
     mix sums to 1.
     """
     import numpy as np
@@ -56,9 +56,8 @@ def build_features(by_service: dict[str, list], profiles) -> np.ndarray:
         hourly = np.zeros(24)
         weekly = np.zeros(7)
         for row in service_rows:
-            stamp = row.record.received_local
-            hourly[stamp.hour] += 1
-            weekly[stamp.weekday()] += 1
+            hourly[row.local.hour] += 1
+            weekly[row.local.weekday()] += 1
         counts = np.array([profile.content_counts[label] for label in LABELS],
                           dtype=float)
         rows.append(np.concatenate([

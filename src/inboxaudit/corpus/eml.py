@@ -42,7 +42,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
-from datetime import datetime, timezone, tzinfo
+from datetime import datetime, timezone
 from email import policy
 from email.message import Message
 from email.parser import BytesParser
@@ -51,7 +51,6 @@ from email.utils import (format_datetime, getaddresses, parseaddr,
                          parsedate_to_datetime)
 from functools import lru_cache
 from html.parser import HTMLParser
-from zoneinfo import ZoneInfo
 
 from ..authlineage import (ABSENT, UNKNOWN_IP, VERDICTS, canonical_ip,
                            extract_sender_ip, parse_auth_results)
@@ -80,10 +79,9 @@ _MAX_CACHED_VALUE = 256
 # the headers whose decoded values are cached
 _REPEATING_HEADERS = frozenset({"from", "to", "delivered-to", "x-original-to"})
 
-# the record fields a corpus line holds as strings, and its two dates
+# the record fields a corpus line holds as strings
 _TEXT_FIELDS = ("message_id", "from_address", "from_root_domain", "sender_ip",
                 "spf", "dkim", "subject", "body_text", "parse_status")
-_DATE_FIELDS = ("received_utc", "received_local")
 
 
 @dataclass
@@ -93,7 +91,6 @@ class EmailRecord:
     from_address: str
     from_root_domain: str
     received_utc: datetime | None
-    received_local: datetime | None
     sender_ip: str
     spf: str
     dkim: str
@@ -114,7 +111,8 @@ class EmailRecord:
         field that is not a string, a parse status or SPF/DKIM verdict
         outside its enum, a sender IP that is neither UNKNOWN nor an IP
         address's canonical text, an alias that is neither an object nor
-        UNMATCHED, dates that do not fit the parse status or lack an offset."""
+        UNMATCHED, a date that does not fit the parse status or is not in
+        UTC (``+00:00``)."""
         wrong = [name for name in _TEXT_FIELDS if not isinstance(entry[name], str)]
         if wrong:
             raise TypeError(f"not a string: {', '.join(wrong)}")
@@ -133,14 +131,16 @@ class EmailRecord:
         elif alias != UNMATCHED:
             raise ValueError(f"alias {alias!r} is neither an object nor {UNMATCHED}")
         dated = entry["parse_status"] == PARSE_OK
-        if any((entry[name] is None) == dated for name in _DATE_FIELDS):
+        received = entry["received_utc"]
+        if (received is None) == dated:
             raise ValueError(f"{entry['parse_status']} record "
                              f"{'without' if dated else 'with'} a date")
-        dates = {name: datetime.fromisoformat(entry[name]) if dated else None
-                 for name in _DATE_FIELDS}
-        if dated and any(stamp.tzinfo is None for stamp in dates.values()):
-            raise ValueError("a date without a UTC offset")
-        return cls(**{**entry, **dates, "alias": alias})
+        if dated:
+            received = datetime.fromisoformat(received)
+            if received.tzinfo != timezone.utc:
+                raise ValueError(f"received_utc {entry['received_utc']!r} "
+                                 "is not in UTC (+00:00)")
+        return cls(**{**entry, "received_utc": received, "alias": alias})
 
 
 class _TextExtractor(HTMLParser):
@@ -396,7 +396,6 @@ def _unparseable(raw: bytes, subject: str = "", from_address: str = "") -> Email
         from_address=from_address,
         from_root_domain="",
         received_utc=None,
-        received_local=None,
         sender_ip=UNKNOWN_IP,
         spf=ABSENT,
         dkim=ABSENT,
@@ -406,14 +405,13 @@ def _unparseable(raw: bytes, subject: str = "", from_address: str = "") -> Email
     )
 
 
-def parse_eml(raw: bytes, registry: AliasRegistry,
-              audit_timezone: str | tzinfo = "UTC", *,
+def parse_eml(raw: bytes, registry: AliasRegistry, *,
               trusted_mx: str) -> EmailRecord:
     """Parse one EML byte stream into an EmailRecord (total function).
 
-    ``audit_timezone`` is a zone name or an already resolved zone;
     ``trusted_mx`` is the receiving host whose Received and
-    Authentication-Results headers are read.
+    Authentication-Results headers are read. The record's one clock is
+    ``received_utc``; ``pipeline.enrich`` puts it into the audit timezone.
     """
     if not isinstance(raw, (bytes, bytearray)):
         raise TypeError("parse_eml expects bytes")
@@ -444,10 +442,6 @@ def parse_eml(raw: bytes, registry: AliasRegistry,
 
     alias = registry.match(_recipient_local_part(headers)) or UNMATCHED
 
-    received_utc = received.astimezone(timezone.utc)
-    if isinstance(audit_timezone, str):
-        audit_timezone = ZoneInfo(audit_timezone)
-    received_local = received_utc.astimezone(audit_timezone)
     verdict = parse_auth_results(_trace(headers, "authentication-results"),
                                  trusted_mx)
 
@@ -456,8 +450,7 @@ def parse_eml(raw: bytes, registry: AliasRegistry,
         alias=alias,
         from_address=from_address,
         from_root_domain=from_root,
-        received_utc=received_utc,
-        received_local=received_local,
+        received_utc=received.astimezone(timezone.utc),
         sender_ip=extract_sender_ip(received_values, trusted_mx),
         spf=verdict.spf,
         dkim=verdict.dkim,

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable
-from zoneinfo import ZoneInfo
 
 from ..formats import read_jsonl, write_jsonl
 from .aliases import AliasRegistry
@@ -47,8 +46,7 @@ def _sort_key(rec: EmailRecord) -> tuple[datetime, str]:
 
 
 def ingest_corpus(directory: str | Path,
-                  registry: AliasRegistry,
-                  audit_timezone: str = "UTC", *,
+                  registry: AliasRegistry, *,
                   trusted_mx: str) -> tuple[CorpusStore, IngestReport]:
     """Parse every *.eml under ``directory`` and bind records to the registry.
 
@@ -60,14 +58,12 @@ def ingest_corpus(directory: str | Path,
     if not directory.is_dir():
         raise OSError(f"not a readable directory: {directory}")
 
-    tz = ZoneInfo(audit_timezone)
     report = IngestReport()
     seen: dict[str, EmailRecord] = {}
     for path in sorted(directory.rglob("*.eml")):
         report.files += 1
         raw = path.read_bytes()
-        rec = parse_eml(raw, registry=registry, audit_timezone=tz,
-                        trusted_mx=trusted_mx)
+        rec = parse_eml(raw, registry=registry, trusted_mx=trusted_mx)
         if rec.message_id in seen:
             report.duplicates += 1
             continue

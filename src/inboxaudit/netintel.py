@@ -24,6 +24,7 @@ import socket
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from datetime import datetime
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -246,6 +247,7 @@ class SenderProfile:
 class MessageRow(NamedTuple):
     """The facts about one parsed message that the analyze aggregates count."""
     record: EmailRecord
+    local: datetime             # received_utc in the audit timezone
     ip: str | None              # the sender IP when globally routable
     asn: AsnRecord | None
     marketing: bool             # the ASN is a listed marketing provider

@@ -18,6 +18,7 @@ from collections import Counter
 from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
+from zoneinfo import ZoneInfo
 
 from .authlineage import ServiceOrgMap, classify_provenance
 from .classify.adapter import classify_records
@@ -110,7 +111,6 @@ def run_ingest(cfg: AuditConfig) -> tuple[dict, CorpusStore]:
     out = _out_dir(cfg)
     registry = load_alias_registry(cfg.registry_path)
     store, report = ingest_corpus(cfg.corpus_dir, registry,
-                                  audit_timezone=cfg.audit_timezone,
                                   trusted_mx=cfg.trusted_mx)
     write_corpus_jsonl(store, out / CORPUS_FILE)
     payload = asdict(report)
@@ -179,10 +179,13 @@ def _resolve_sector(rows: list[MessageRow], sector_map: dict[str, str]) -> str:
 
 def enrich(store: CorpusStore, asn_table: AsnTable, providers: list[str],
            clouds: list[str], org_map: ServiceOrgMap,
-           classifications: dict[str, Classification]) -> list[MessageRow]:
+           classifications: dict[str, Classification], *,
+           audit_timezone: str) -> list[MessageRow]:
     """One row per parsed message, in corpus order: the one place a
-    message's sender IP is looked up, its content label read and its
-    provenance decided. ``classifications`` labels every parsed message."""
+    message's time is put into ``audit_timezone``, its sender IP looked
+    up, its content label read and its provenance decided.
+    ``classifications`` labels every parsed message."""
+    zone = ZoneInfo(audit_timezone)
     rows: list[MessageRow] = []
     for rec in store.ok_records():
         ip = None if is_internal_hop(rec.sender_ip) else rec.sender_ip
@@ -192,7 +195,8 @@ def enrich(store: CorpusStore, asn_table: AsnTable, providers: list[str],
         label = classify_provenance(
             rec, asn=asn, marketing_flag=marketing, org_map=org_map,
             cloud_flag=flag_marketing_asn(asn, clouds), content_label=content)
-        rows.append(MessageRow(rec, ip, asn, marketing, label, content))
+        rows.append(MessageRow(rec, rec.received_utc.astimezone(zone), ip,
+                               asn, marketing, label, content))
     return rows
 
 
@@ -267,7 +271,8 @@ def run_analyze(cfg: AuditConfig, store: CorpusStore | None = None,
                else ServiceOrgMap())
     sector_map = _load_sector_map(cfg.sector_map_path)
 
-    rows = enrich(store, asn_table, providers, clouds, org_map, classifications)
+    rows = enrich(store, asn_table, providers, clouds, org_map, classifications,
+                  audit_timezone=cfg.audit_timezone)
     by_service = rows_by_service(rows)
     profiles, flows = build_sender_profiles(by_service, abuse)
 
@@ -279,11 +284,11 @@ def run_analyze(cfg: AuditConfig, store: CorpusStore | None = None,
     pareto_table = pareto([(d, float(n)) for d, n in domains.items()])
 
     # temporal results on the whole-inbox series
-    records = [row.record for row in rows]
-    series = build_daily_series(records)
+    stamps = [row.local for row in rows]
+    series = build_daily_series(stamps)
     bins = spectrum_bins(series)
     dec = decompose_additive(series)
-    matrix = hour_day_matrix(records)
+    matrix = hour_day_matrix(stamps)
 
     # clustering
     features = build_features(by_service, profiles)

@@ -1,7 +1,8 @@
 """Temporal analytics: daily series, Fourier periodicity, decomposition.
 
-All clocks run in the configured audit timezone. Every record passed in
-is parsed mail, which always carries its local timestamp.
+The daily series and the hour-by-day matrix count datetimes that are
+already in the audit timezone: ``pipeline.enrich`` converts each parsed
+message's ``received_utc`` once, and these functions take the results.
 
 numpy is imported inside the functions that use it: every stage
 process imports this module through the CLI, and only the analysis
@@ -11,7 +12,7 @@ needs numpy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -47,9 +48,10 @@ class Decomposition:
     seasonal_variance_share: float
 
 
-def build_daily_series(records) -> DailySeries:
-    """Emails per calendar day (audit timezone), missing days as explicit zeros."""
-    days = [r.received_local.date() for r in records]
+def build_daily_series(stamps: list[datetime]) -> DailySeries:
+    """Emails per calendar day of ``stamps``, datetimes in the audit
+    timezone, with missing days as explicit zeros."""
+    days = [stamp.date() for stamp in stamps]
     day0, day_last = min(days), max(days)
     n = (day_last - day0).days + 1
     values = [0.0] * n
@@ -143,10 +145,10 @@ def decompose_additive(series: DailySeries, period: int = 7) -> Decomposition:
     )
 
 
-def hour_day_matrix(records) -> list[list[int]]:
-    """7x24 counts by (day-of-week 0=Monday, hour) in the audit timezone."""
+def hour_day_matrix(stamps: list[datetime]) -> list[list[int]]:
+    """7x24 counts of ``stamps``, datetimes in the audit timezone, by
+    (day-of-week 0=Monday, hour)."""
     matrix = [[0] * 24 for _ in range(7)]
-    for rec in records:
-        stamp = rec.received_local
+    for stamp in stamps:
         matrix[stamp.weekday()][stamp.hour] += 1
     return matrix

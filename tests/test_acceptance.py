@@ -343,7 +343,7 @@ def test_criterion_12_taxonomy_totality(grid_corpus):
                                                      rec.body_text, table)
                        for rec in store.ok_records()}
     rows = enrich(store, asn_table, providers, clouds, org_map,
-                  classifications)
+                  classifications, audit_timezone="UTC")
     assert len(rows) == 500
 
     seen_pairs = set()

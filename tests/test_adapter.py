@@ -29,8 +29,8 @@ def record(message_id="m1@x", subject="Flash sale: 30% off",
     return EmailRecord(message_id=message_id, alias=ALIAS,
                        from_address="a@shopzilla.com",
                        from_root_domain="shopzilla.com", received_utc=None,
-                       received_local=None, sender_ip="167.89.1.1",
-                       spf="pass", dkim="pass", subject=subject,
+                       sender_ip="167.89.1.1", spf="pass", dkim="pass",
+                       subject=subject,
                        body_text=body, parse_status=status)
 
 

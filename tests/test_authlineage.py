@@ -24,8 +24,7 @@ NO_MAP = ServiceOrgMap()
 def record(alias=ALIAS, domain="shopzilla.com", spf="pass", dkim="pass"):
     return EmailRecord(
         message_id="m@x", alias=alias, from_address=f"a@{domain}",
-        from_root_domain=domain, received_utc=None, received_local=None,
-        sender_ip="167.89.1.1", spf=spf, dkim=dkim, subject="s",
+        from_root_domain=domain, received_utc=None, sender_ip="167.89.1.1", spf=spf, dkim=dkim, subject="s",
         body_text="b", parse_status="ok")
 
 

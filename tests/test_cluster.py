@@ -15,8 +15,7 @@ from inboxaudit.cluster import (FEATURE_NAMES, InsufficientCompaniesError,
 
 def row(day=0, hour=9):
     base = datetime(2024, 1, 1, hour)  # a Monday
-    return SimpleNamespace(record=SimpleNamespace(
-        received_local=base + timedelta(days=day)))
+    return SimpleNamespace(local=base + timedelta(days=day))
 
 
 def profile(name, marketing, total, **content):

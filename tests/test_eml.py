@@ -184,13 +184,6 @@ def test_naive_date_becomes_utc(registry):
     assert rec.received_utc.tzinfo is not None
 
 
-def test_timezone_conversion(registry):
-    rec = parse_eml(build(), registry, audit_timezone="America/New_York",
-                    trusted_mx=TRUSTED)
-    assert rec.received_local.hour == 5  # 10:30 UTC is 05:30 in March EST
-    assert rec.received_utc.hour == 10
-
-
 def test_html_body_extraction(registry):
     raw = build(body="plain fallback",
                 html_body="<html><head><style>x{}</style></head>"
@@ -265,7 +258,6 @@ BASE_RECORD = {
     "from_root_domain": "shopzilla.com",
     "message_id": "msg-1@shopzilla.com",
     "parse_status": "ok",
-    "received_local": "2024-03-05T03:00:00-05:00",
     "received_utc": "2024-03-05T08:00:00+00:00",
     "sender_ip": "167.89.1.1",
     "spf": "pass",
@@ -273,8 +265,7 @@ BASE_RECORD = {
 }
 
 # the Received stamp, used when Date does not parse
-FROM_RECEIVED = {"received_utc": "2024-03-04T10:30:00+00:00",
-                 "received_local": "2024-03-04T05:30:00-05:00"}
+FROM_RECEIVED = {"received_utc": "2024-03-04T10:30:00+00:00"}
 
 ALTERNATIVE = (b"--b1\nContent-Type: text/plain; charset=utf-8\n\nplain part\n"
                b"--b1\nContent-Type: text/html; charset=utf-8\n\n"
@@ -406,8 +397,7 @@ DECODING_CASES = [
 @pytest.mark.parametrize("raw,changed", [c[1:] for c in DECODING_CASES],
                          ids=[c[0] for c in DECODING_CASES])
 def test_decoding_matches_policy_default(registry, raw, changed):
-    rec = parse_eml(raw, registry, audit_timezone="America/New_York",
-                    trusted_mx=TRUSTED)
+    rec = parse_eml(raw, registry, trusted_mx=TRUSTED)
     assert encoded(rec) == {**BASE_RECORD, **changed}
 
 
@@ -550,8 +540,7 @@ def _records_three_ways(raws: list[bytes], registry) -> list:
     """The records of ``raws`` parsed with every cache cleared before each
     message, then in reverse order, then again with warm caches."""
     def parse(raw):
-        return encoded(parse_eml(raw, registry, "America/New_York",
-                                 trusted_mx=TRUSTED))
+        return encoded(parse_eml(raw, registry, trusted_mx=TRUSTED))
     cold = []
     for raw in raws:
         _clear_value_caches()
@@ -603,7 +592,7 @@ def test_long_header_values_are_not_cached(registry):
                b"From": b"Shopzilla " + b"x" * 500 + b" <deals@shopzilla.com>",
                b"To": f"maple007@audit.example, {recipients}".encode()})
     _clear_value_caches()
-    rec = parse_eml(raw, registry, "America/New_York", trusted_mx=TRUSTED)
+    rec = parse_eml(raw, registry, trusted_mx=TRUSTED)
     assert (rec.alias.local_part, rec.from_address) == (
         "maple007", "deals@shopzilla.com")
     assert canonical_ip("1." * 40 + "1") is None

@@ -398,7 +398,7 @@ def unmatched_record(message_id, sender_ip):
     stamp = datetime(2024, 1, 1, tzinfo=timezone.utc)
     return EmailRecord(
         message_id=message_id, alias=UNMATCHED, from_address="",
-        from_root_domain="", received_utc=stamp, received_local=stamp,
+        from_root_domain="", received_utc=stamp,
         sender_ip=sender_ip, spf="none", dkim="none", subject="",
         body_text="", parse_status=PARSE_OK)
 
@@ -410,7 +410,8 @@ def test_enrich_skips_internal_even_if_covered(tmp_path):
     store = CorpusStore.from_records([unmatched_record("a", "10.0.0.1"),
                                       unmatched_record("b", "8.8.8.8")])
     internal, routed = enrich(store, table, [], [], ServiceOrgMap(),
-                              classify_records(store.records, "rules"))
+                              classify_records(store.records, "rules"),
+                              audit_timezone="UTC")
     assert internal.ip is None and internal.asn is None
     assert routed.ip == "8.8.8.8"
     assert routed.asn.organization == "EVERYTHING"
@@ -475,7 +476,8 @@ def synth_profiles(synth_corpus):
     abuse = load_abuse_reports(synth_corpus.abuse_path)
     providers = load_provider_list(_bundled("marketing_providers.txt"))
     rows = enrich(store, table, providers, [], ServiceOrgMap(),
-                  classify_records(store.records, "rules"))
+                  classify_records(store.records, "rules"),
+                  audit_timezone="UTC")
     profiles, flows = build_sender_profiles(rows_by_service(rows), abuse)
     return store, report, profiles, flows, abuse
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 from collections import Counter
+from datetime import datetime, timedelta, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -501,20 +502,24 @@ def test_non_object_classification_line_is_input_error(staged, synth_corpus,
     lambda entry: entry.pop("spf"),
     lambda entry: entry["alias"].update(extra=1),
     lambda entry: entry.update(sender_ip=7),
-    lambda entry: entry.update(received_local=None),
+    lambda entry: entry.update(received_utc=None),
     lambda entry: entry.update(alias="nobody"),
     lambda entry: entry.update(received_utc=entry["received_utc"][:19]),
     lambda entry: entry["alias"].update(service_name=5),
     lambda entry: entry["alias"].update(index=7.0),
     lambda entry: entry.update(spf="yes"),
-    lambda entry: entry.update(parse_status="bogus", received_utc=None,
-                               received_local=None),
+    lambda entry: entry.update(parse_status="bogus", received_utc=None),
     lambda entry: entry.update(sender_ip="not-an-ip"),
     lambda entry: entry.update(sender_ip="2001:DB8::1"),
+    lambda entry: entry.update(received_local=entry["received_utc"]),
+    lambda entry: entry.update(received_utc=datetime.fromisoformat(
+        entry["received_utc"]).astimezone(timezone(timedelta(hours=9)))
+        .isoformat()),
 ], ids=["unknown_key", "missing_key", "unknown_alias_key", "number_sender_ip",
         "undated_ok_record", "string_alias", "date_without_offset",
         "number_service_name", "float_alias_index", "unknown_spf_verdict",
-        "unknown_parse_status", "non_ip_sender_ip", "non_canonical_sender_ip"])
+        "unknown_parse_status", "non_ip_sender_ip", "non_canonical_sender_ip",
+        "legacy_received_local", "non_utc_received_utc"])
 def test_stale_corpus_line_is_input_error(staged, synth_corpus, tmp_path, edit):
     out, _ = staged
     lines = (out / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
@@ -529,6 +534,27 @@ def test_stale_corpus_line_is_input_error(staged, synth_corpus, tmp_path, edit):
         main, ["classify", *cli_args(synth_corpus, tmp_path)])
     assert result.exit_code == 3, result.output
     assert f"corpus.jsonl:{i + 1}: bad corpus line" in result.output
+
+
+def test_staged_analyze_reads_its_own_timezone(staged, synth_corpus, tmp_path):
+    """Ingest and classify in UTC, then analyze in New York: the same ten
+    artifacts as report in New York, and a heatmap unlike the UTC one."""
+    out, _ = staged
+    zone = ["--set", "audit_timezone=America/New_York"]
+    staged_ny, report_ny = tmp_path / "staged", tmp_path / "report"
+    staged_ny.mkdir()
+    for name in ("corpus.jsonl", "classifications.jsonl"):
+        shutil.copy(out / name, staged_ny / name)
+    runner = CliRunner()
+    for command, where in (("analyze", staged_ny), ("report", report_ny)):
+        result = runner.invoke(main, [command, *cli_args(synth_corpus, where),
+                                      *zone])
+        assert result.exit_code == 0, result.output
+    for name in ANALYZE_ARTIFACTS:
+        assert (staged_ny / name).read_bytes() == \
+            (report_ny / name).read_bytes(), name
+    assert (staged_ny / "heatmap.csv").read_bytes() != \
+        (out / "heatmap.csv").read_bytes()
 
 
 @pytest.mark.parametrize("name", ["corpus.jsonl", "classifications.jsonl"])
@@ -733,8 +759,6 @@ def test_table_without_header_is_input_error(staged, synth_corpus, tmp_path,
 def tiny_corpus_args(tmp_path, mails):
     """One alias per service and one EML file per (service, day) in
     ``mails``, all alike but for sender and date; returns CLI arguments."""
-    from datetime import datetime, timedelta, timezone
-
     from inboxaudit.synth import AUDIT_DOMAIN, TRUSTED_MX, render_eml
 
     eml_dir = tmp_path / "eml"

@@ -100,8 +100,8 @@ def test_classify_record_rejects_unparseable(table, synth_corpus):
     from inboxaudit.corpus.eml import EmailRecord
     rec = EmailRecord(message_id="x", alias="UNMATCHED", from_address="",
                       from_root_domain="", received_utc=None,
-                      received_local=None, sender_ip="UNKNOWN", spf="absent",
-                      dkim="absent", subject="", body_text="",
+                      sender_ip="UNKNOWN", spf="absent", dkim="absent",
+                      subject="", body_text="",
                       parse_status="unparseable")
     with pytest.raises(ValueError):
         classify_rule_based(rec, table)

@@ -1,14 +1,19 @@
 """Daily series, Fourier peak detection, and additive decomposition."""
 
 import math
-from datetime import datetime, timedelta
-from types import SimpleNamespace
+from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from inboxaudit.authlineage import ServiceOrgMap
+from inboxaudit.classify.adapter import classify_records
+from inboxaudit.corpus.eml import PARSE_OK, UNMATCHED, EmailRecord
+from inboxaudit.corpus.store import CorpusStore
+from inboxaudit.netintel import AsnTable
+from inboxaudit.pipeline import enrich
 from inboxaudit.temporal import (DailySeries, InsufficientSeriesError,
                                  build_daily_series, decompose_additive,
                                  hour_day_matrix, spectrum_bins,
@@ -25,8 +30,7 @@ def reconstruction_errors(series, dec):
 
 
 def stamp(day, hour=12):
-    base = datetime(2024, 1, 1, hour)  # a Monday
-    return SimpleNamespace(received_local=base + timedelta(days=day))
+    return datetime(2024, 1, 1, hour) + timedelta(days=day)  # day 0 a Monday
 
 
 def test_daily_series_fills_gaps():
@@ -154,3 +158,38 @@ def test_hour_day_matrix_counts():
     assert matrix[6][23] == 1         # the Sunday
     assert sum(sum(row) for row in matrix) == 3
     assert len(matrix) == 7 and all(len(row) == 24 for row in matrix)
+
+
+def test_enrich_localises_across_us_dst_change():
+    """The 2024 US switch to daylight time came at 07:00 UTC on Sunday
+    10 March: one message before it (EST, -05:00), one after (EDT, -04:00).
+    Both fall on that Sunday in New York; in UTC they are a day apart."""
+    def record(message_id, utc):
+        return EmailRecord(
+            message_id=message_id, alias=UNMATCHED, from_address="",
+            from_root_domain="", received_utc=utc, sender_ip="UNKNOWN",
+            spf="none", dkim="none", subject="", body_text="",
+            parse_status=PARSE_OK)
+
+    store = CorpusStore.from_records([
+        record("before", datetime(2024, 3, 10, 6, 30, tzinfo=timezone.utc)),
+        record("after", datetime(2024, 3, 11, 3, 30, tzinfo=timezone.utc))])
+
+    def stamps(zone):
+        rows = enrich(store, AsnTable(), [], [], ServiceOrgMap(),
+                      classify_records(store.records, "rules"),
+                      audit_timezone=zone)
+        return [row.local for row in rows]
+
+    local = stamps("America/New_York")
+    assert [t.isoformat() for t in local] == [
+        "2024-03-10T01:30:00-05:00", "2024-03-10T23:30:00-04:00"]
+    matrix = hour_day_matrix(local)
+    assert matrix[6][1] == matrix[6][23] == 1   # Sunday 01:00 and 23:00
+    assert sum(map(sum, matrix)) == 2
+    series = build_daily_series(local)
+    assert (series.day0, series.values) == (date(2024, 3, 10), [2.0])
+
+    utc = stamps("UTC")
+    assert hour_day_matrix(utc)[6][6] == hour_day_matrix(utc)[0][3] == 1
+    assert build_daily_series(utc).values == [1.0, 1.0]
