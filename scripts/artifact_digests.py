@@ -33,15 +33,14 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "perfbench"))
-
-import gen  # noqa: E402
 
 try:
     from inboxaudit.config import build_config
     from inboxaudit.pipeline import (run_analyze, run_classify, run_ingest,
                                      run_report)
-    from inboxaudit.synth import make_grid_corpus, make_synthetic_corpus
+    # synth imports inboxaudit, and puts perfbench/ (gen) on sys.path
+    from synth import make_grid_corpus, make_synthetic_corpus
+    import gen
 except ModuleNotFoundError as exc:
     if not (exc.name or "").startswith("inboxaudit"):
         raise

@@ -1,73 +1,41 @@
+#!/usr/bin/env python3
 """Synthetic corpus generator: EML files plus matching snapshot files.
 
-Everything an end-to-end run needs is fabricated here with fictional
-brands: alias registry, EML bytes with controlled auth verdicts and
-Received chains, an ip2asn snapshot, abuse reports, the service-to-org
-map, and a sector map. Deterministic for a fixed seed.
+Everything an end-to-end test run needs is fabricated here with
+fictional brands: alias registry, EML bytes with controlled auth
+verdicts and Received chains, an ip2asn snapshot, abuse reports, the
+service-to-org map, and a sector map. Deterministic for a fixed seed.
+Every message is written by ``perfbench/gen.py``'s ``render_eml``, the
+renderer of the benchmark's inputs too.
 
 Two corpora are provided: `make_synthetic_corpus` builds a realistic
 multi-service collection (weekly send rhythms, IP rotation, a volume
 profile concentrated on two marketing ASNs), and `make_grid_corpus`
 sweeps the full verdict/domain/ASN grid for taxonomy totality checks.
+Run as a script, it writes both under one directory and prints a
+summary:
+
+    PYTHONPATH=src python3 scripts/synth.py /tmp/demo --seed 7
 """
 
 from __future__ import annotations
 
-import hashlib
+import argparse
+import json
+import sys
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
-from email.message import EmailMessage
-from email.utils import format_datetime
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
 
-from .corpus.aliases import expected_kind, generate_alias
-from .formats import write_jsonl
+from inboxaudit.corpus.aliases import expected_kind, generate_alias
+from inboxaudit.formats import write_jsonl
 
-AUDIT_DOMAIN = "audit.example"
-TRUSTED_MX = "mx.audit.example"
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
-_BASE_DATE = datetime(2024, 1, 1, tzinfo=timezone.utc)  # a Monday
-
-
-def render_eml(*, to_addr: str, from_addr: str, date: datetime, subject: str,
-               body: str, message_id: str, trusted_mx: str = TRUSTED_MX,
-               sender_ip: str | None = None, sender_host: str = "out.sender.example",
-               spf: str | None = "pass", dkim: str | None = "pass",
-               html_body: str | None = None) -> bytes:
-    """Compose one EML byte stream with a controlled trusted-hop Received
-    header and Authentication-Results verdicts (None omits the mechanism)."""
-    msg = EmailMessage()
-    msg["Delivered-To"] = to_addr
-    msg["Return-Path"] = f"<{from_addr}>"
-    ip_part = f" [{sender_ip}]" if sender_ip else ""
-    # hash() is salted per process; SHA-256 keeps the bytes reproducible
-    hop_id = int(hashlib.sha256(message_id.encode()).hexdigest(), 16) % 10**9
-    msg["Received"] = (f"from {sender_host} ({sender_host}{ip_part}) "
-                       f"by {trusted_mx} (Postfix) with ESMTPS id "
-                       f"{hop_id:09d}; "
-                       f"{format_datetime(date)}")
-    mechanisms = []
-    if spf is not None:
-        mechanisms.append(f"spf={spf} smtp.mailfrom={from_addr}")
-    if dkim is not None:
-        domain = from_addr.rsplit("@", 1)[-1]
-        mechanisms.append(f"dkim={dkim} header.d={domain}")
-    if mechanisms:
-        msg["Authentication-Results"] = f"{trusted_mx}; " + "; ".join(mechanisms)
-    msg["From"] = from_addr
-    msg["To"] = to_addr
-    msg["Subject"] = subject
-    msg["Date"] = format_datetime(date)
-    msg["Message-ID"] = f"<{message_id}>"
-    if html_body is not None:
-        msg.set_content(body)
-        msg.add_alternative(html_body, subtype="html")
-    else:
-        msg.set_content(body)
-    return msg.as_bytes()
-
+from gen import (AUDIT_DOMAIN, BASE_DATE, SMALL_SNAPSHOT,  # noqa: E402
+                 TRUSTED_MX, render_eml)
 
 _PROMO_SUBJECTS = [
     "Flash sale: {pct}% off sitewide today only",
@@ -123,19 +91,10 @@ class ServiceSpec:
 _WORDS = ["maple", "harbor", "cedar", "willow", "aspen", "birch", "rowan",
           "alder", "laurel", "hazel", "ivy", "fern", "moss", "clover", "sage"]
 
-_IP2ASN_ROWS = [
-    ("167.89.0.0/17", 11377, "SENDGRID"),
-    ("13.111.0.0/16", 14340, "SALESFORCE"),
-    ("159.135.224.0/20", 396479, "MAILGUN TECHNOLOGIES"),
-    ("147.253.208.0/20", 46638, "SPARKPOST"),
-    ("52.88.0.0/13", 16509, "AMAZON-02"),
-    ("35.190.0.0/17", 15169, "GOOGLE"),
-    ("166.78.0.0/16", 27357, "RACKSPACE"),
-    ("199.87.240.0/22", 64496, "WISHMART NETWORKS"),
-    ("108.174.0.0/20", 64497, "LINKHUB CORP"),
-    ("192.155.80.0/22", 64498, "BANKLY FINANCIAL"),
-    ("2a06:98c0::/29", 64499, "CLOUDY GLOBAL V6"),
-]
+# the benchmark's snapshot plus bankly's own network, before the v6 row
+_IP2ASN_ROWS = (SMALL_SNAPSHOT[:-1]
+                + [("192.155.80.0/22", 64498, "BANKLY FINANCIAL")]
+                + SMALL_SNAPSHOT[-1:])
 
 
 def _services() -> list[ServiceSpec]:
@@ -228,7 +187,7 @@ def _write_registry(path: Path, specs: list[ServiceSpec]) -> None:
     entries = [(s.name, s.index) for s in specs] + _SILENT_SERVICES
     for name, index in sorted(entries, key=lambda e: e[1]):
         local_part = _alias(index).partition("@")[0]
-        reg = (_BASE_DATE - timedelta(days=30) + timedelta(days=index)).date()
+        reg = (BASE_DATE - timedelta(days=30) + timedelta(days=index)).date()
         lines.append(f"{local_part},{index},{name},{expected_kind(index)},"
                      f"{reg.isoformat()}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -306,7 +265,7 @@ def make_synthetic_corpus(out_dir: str | Path, seed: int = 42,
         to_addr = _alias(spec.index)
         sent = 0
         for day in range(n_days):
-            date = _BASE_DATE + timedelta(days=day)
+            date = BASE_DATE + timedelta(days=day)
             for _ in range(spec.weekly_pattern[date.weekday()]):
                 kind = spec.content_cycle[sent % len(spec.content_cycle)]
                 subject, body = _subject_body(kind, spec.name, spec.root_domain, sent)
@@ -336,7 +295,7 @@ def make_synthetic_corpus(out_dir: str | Path, seed: int = 42,
     craftyard = next(s for s in specs if s.name == "craftyard")
     for i, (spf, dkim) in enumerate([("fail", "fail"), ("fail", "fail"),
                                      ("pass", "none")]):
-        stamp = _BASE_DATE + timedelta(days=10 + i * 9, hours=3)
+        stamp = BASE_DATE + timedelta(days=10 + i * 9, hours=3)
         raw = render_eml(
             to_addr=_alias(craftyard.index),
             from_addr="deals@bulkblast.biz",
@@ -348,18 +307,18 @@ def make_synthetic_corpus(out_dir: str | Path, seed: int = 42,
             spf=spf, dkim=dkim,
         )
         (eml_dir / f"bulk-{i:03d}.eml").write_bytes(raw)
-        seq += 1
 
     # mail to a local part no registry entry owns
     for i in range(2):
         raw = render_eml(
             to_addr=f"stray{482 + i}@{AUDIT_DOMAIN}",
             from_addr="hello@nowhere.example",
-            date=_BASE_DATE + timedelta(days=20 + i, hours=12),
+            date=BASE_DATE + timedelta(days=20 + i, hours=12),
             subject="Hello there",
             body="Stray message for an unregistered alias.",
             message_id=f"stray-{i:03d}@nowhere.example",
             sender_ip="91.203.9.9", sender_host="mta.nowhere.example",
+            spf="pass", dkim="pass",
         )
         (eml_dir / f"stray-{i:03d}.eml").write_bytes(raw)
 
@@ -374,7 +333,7 @@ def make_synthetic_corpus(out_dir: str | Path, seed: int = 42,
     (eml_dir / "zz-duplicate.eml").write_bytes(first)
 
     expected = {
-        "files": seq - 3 + 3 + 2 + 2 + 1,  # service mail + bulk + stray + noise + dup
+        "files": seq + 3 + 2 + 2 + 1,  # service mail + bulk + stray + noise + dup
         "per_service": per_service,
         "bulk_to_craftyard": 3,
         "unmatched_ok": 2,
@@ -448,7 +407,7 @@ def make_grid_corpus(out_dir: str | Path, n_messages: int = 500) -> SynthCorpus:
         from_domain = "gridservice.com" if cell["matched"] else "elsewhere.biz"
         subject, body = _subject_body(cell["content"], "gridservice",
                                       from_domain, i)
-        stamp = (_BASE_DATE + timedelta(days=60 + i % 20, hours=i % 24,
+        stamp = (BASE_DATE + timedelta(days=60 + i % 20, hours=i % 24,
                                         minutes=i % 60))
         message_id = f"grid-{i:05d}@{from_domain}"
         raw = render_eml(
@@ -477,3 +436,26 @@ def make_grid_corpus(out_dir: str | Path, n_messages: int = 500) -> SynthCorpus:
                        org_map_path=org_map_path, sector_map_path=sector_map_path,
                        expectations_path=expectations_path,
                        expected={"n_messages": n_messages})
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", type=Path, help="output directory")
+    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--days", type=int, default=60)
+    args = parser.parse_args()
+
+    main_corpus = make_synthetic_corpus(args.out / "main", seed=args.seed,
+                                        n_days=args.days)
+    grid = make_grid_corpus(args.out / "grid")
+
+    print(json.dumps({
+        "main": {k: str(v) if isinstance(v, Path) else v
+                 for k, v in vars(main_corpus).items() if k != "expected"},
+        "main_expected": main_corpus.expected,
+        "grid_messages": grid.expected["n_messages"],
+    }, indent=2, default=str))
+
+
+if __name__ == "__main__":
+    main()

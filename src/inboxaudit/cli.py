@@ -28,16 +28,20 @@ def _build(config_path: str | None, **overrides) -> AuditConfig:
     return build_config(file_values, overrides)
 
 
-def _run(stage, cfg) -> None:
+def _checked(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``; too little data exits 4, a bad input 3."""
     try:
-        summary = stage(cfg)
+        return fn(*args, **kwargs)
     except _INFEASIBLE as exc:
         click.echo(f"analysis infeasible: {exc}", err=True)
         sys.exit(EXIT_INFEASIBLE)
     except _INPUT as exc:
         click.echo(f"input error: {exc}", err=True)
         sys.exit(EXIT_INPUT)
-    for key, value in summary.items():
+
+
+def _run(stage, cfg) -> None:
+    for key, value in _checked(stage, cfg).items():
         if not isinstance(value, (dict, list)):
             click.echo(f"{key}: {value}")
 
@@ -45,8 +49,8 @@ def _run(stage, cfg) -> None:
 def _common_options(fn):
     fn = click.option("--config", "config_path", type=click.Path(),
                       default=None, help="key=value config file")(fn)
-    fn = click.option("--seed", type=int, default=None,
-                      help="RNG seed override")(fn)
+    # a str, so that build_config reads it as ASCII decimal like --set seed=
+    fn = click.option("--seed", metavar="N", help="RNG seed override")(fn)
     fn = click.option("--out", "output_dir", type=click.Path(), default=None,
                       help="output directory override")(fn)
     fn = click.option("--set", "extra", multiple=True, metavar="KEY=VALUE",
@@ -116,12 +120,8 @@ _stage_command("report", run_report,
               help="moment convention for skewness/kurtosis")
 def fixture_check(table_path: str | None, convention: str) -> None:
     """Recompute published statistics from the bundled table."""
-    try:
-        rows = load_fixture_table(table_path)
-        results = run_fixture_checks(rows, convention=convention)
-    except _INPUT as exc:
-        click.echo(f"input error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
+    rows = _checked(load_fixture_table, table_path)
+    results = _checked(run_fixture_checks, rows, convention=convention)
 
     click.echo(f"fixture rows: {len(rows)}; moment convention: {convention}")
     failed = 0

@@ -9,6 +9,8 @@ from pathlib import Path
 from urllib.parse import urlsplit
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
+from .formats import ascii_decimal
+
 
 # The socket layer rejects timeouts far past this (1e12 s overflows);
 # no endpoint reply is worth waiting longer than a day for.
@@ -114,6 +116,8 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 
 def _coerce(key: str, value: str, target_type: type) -> object:
     try:
+        if target_type is int:  # no sign, underscores or non-ASCII digits
+            return ascii_decimal(value, key)
         return target_type(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key}: {value!r}") from exc

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 from .classify.rules import LABELS
 from .cluster import kmeans
-from .formats import read_table
+from .formats import ascii_decimal, read_table
 from .stats.core import (
     ContingencyTable,
     chi_squared_independence,
@@ -64,12 +64,11 @@ def load_fixture_table(path: str | Path | None = None) -> list[CompanyRow]:
     for rownum, cells in read_table(source, _TABLE_COLUMNS):
         try:
             row = CompanyRow(cells["root_domain"], cells["sector"],
-                             *(int(cells[c]) for c in _TABLE_COLUMNS[2:]))
+                             *(ascii_decimal(cells[c], c)
+                               for c in _TABLE_COLUMNS[2:]))
         except ValueError as exc:
             raise FixtureIntegrityError(
                 f"{source}: row {rownum}: {exc}") from exc
-        if min(row.total, row.promotional, row.crm, row.alert) < 0:
-            raise FixtureIntegrityError(f"{source}: row {rownum}: negative count")
         rows.append(row)
     if path is None and len(rows) != EXPECTED_ROWS:
         raise FixtureIntegrityError(

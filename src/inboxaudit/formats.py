@@ -1,8 +1,8 @@
 """The file formats at the pipeline's edges: every hand-kept CSV input
 table is read by ``read_table``, and every JSONL artifact is written by
 ``write_jsonl``, which encodes a record field by field (``json_default``),
-and read back by ``read_jsonl``. A number cell of a table or snapshot is
-read by ``ascii_decimal``.
+and read back by ``read_jsonl``. A number cell of a table or snapshot,
+and an integer config value, is read by ``ascii_decimal``.
 """
 
 from __future__ import annotations

@@ -1,9 +1,16 @@
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, settings
 
 from inboxaudit.config import build_config
 from inboxaudit.pipeline import run_report
-from inboxaudit.synth import make_grid_corpus, make_synthetic_corpus
+
+# scripts/synth.py in turn puts perfbench/ (gen, the EML renderer) there
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+
+from synth import make_grid_corpus, make_synthetic_corpus  # noqa: E402
 
 settings.register_profile(
     "repo", deadline=None,

@@ -27,6 +27,7 @@ from datetime import datetime
 import numpy as np
 import pytest
 import scipy.stats
+from gen import TRUSTED_MX
 
 from inboxaudit.authlineage import ServiceOrgMap
 from inboxaudit.classify.irr import cohens_kappa
@@ -45,7 +46,6 @@ from inboxaudit.stats.core import (ContingencyTable, chi_squared_independence,
                                    kruskal_wallis, one_way_anova, pearson,
                                    spearman)
 from inboxaudit.stats.special import reg_incomplete_beta, reg_lower_gamma
-from inboxaudit.synth import TRUSTED_MX
 from inboxaudit.temporal import DailySeries, decompose_additive, spectrum_peaks
 
 

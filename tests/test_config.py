@@ -111,12 +111,18 @@ def test_bad_coercion_is_config_error():
      "adapter_endpoint"),
     ({"classifier": "external", "adapter_endpoint": "http://x:99999/v1"},
      "adapter_endpoint"),
+    # int() alone would read these as 10, 42 and 16
+    ({"seed": "1_0"}, "seed"),
+    ({"seed": "\u0664\u0662"}, "seed"),
+    ({"adapter_pool_size": "1_6"}, "adapter_pool_size"),
+    ({"adapter_retries": "+2"}, "adapter_retries"),
 ], ids=[  # each case keeps the name it had when the list was longer
     "values0-classifier", "values1-adapter_endpoint",
     "values8-pca_variance_threshold", "values9-audit_timezone",
     "values10-audit_timezone", "values11-seed", "values14-trusted_mx",
     "timeout-nan", "timeout-inf", "timeout-1e12", "endpoint-no-scheme",
-    "endpoint-ftp", "endpoint-no-host", "endpoint-bad-port"])
+    "endpoint-ftp", "endpoint-no-host", "endpoint-bad-port",
+    "seed-underscore", "seed-arabic-indic", "pool-underscore", "retries-sign"])
 def test_validation_rejections(values, needle):
     with pytest.raises(ConfigError, match=needle):
         build_config(file_values=values)

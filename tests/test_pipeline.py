@@ -18,10 +18,10 @@ import pytest
 import scipy.stats
 from click.testing import CliRunner
 from referencing import Registry, Resource
+from synth import make_synthetic_corpus
 
 from inboxaudit.cli import main
 from inboxaudit.pipeline import ANALYZE_ARTIFACTS, load_schema
-from inboxaudit.synth import make_synthetic_corpus
 
 SCHEMA_FILES = [
     "corpus_record.schema.json", "ingest_report.schema.json",
@@ -349,6 +349,14 @@ def test_dedicated_flag_beats_set(monkeypatch, key, flag, flag_value,
         result = runner.invoke(main, ["ingest", *args])
         assert result.exit_code == 0, result.output
         assert getattr(seen.pop(), key) == expected, args
+
+
+@pytest.mark.parametrize("seed", ["1_0", "+5", "\u0664\u0662"])
+def test_seed_flag_is_ascii_decimal(seed):
+    # click's int type would read these as 10, 5 and 42
+    result = CliRunner().invoke(main, ["ingest", "--seed", seed])
+    assert result.exit_code == 2, result.output
+    assert f"config error: bad value for seed: {seed!r}" in result.output
 
 
 def test_non_utf8_config_file_is_config_error(synth_corpus, tmp_path):
@@ -759,7 +767,7 @@ def test_table_without_header_is_input_error(staged, synth_corpus, tmp_path,
 def tiny_corpus_args(tmp_path, mails):
     """One alias per service and one EML file per (service, day) in
     ``mails``, all alike but for sender and date; returns CLI arguments."""
-    from inboxaudit.synth import AUDIT_DOMAIN, TRUSTED_MX, render_eml
+    from gen import AUDIT_DOMAIN, TRUSTED_MX, render_eml
 
     eml_dir = tmp_path / "eml"
     eml_dir.mkdir()
@@ -778,7 +786,8 @@ def tiny_corpus_args(tmp_path, mails):
                          body="Shop the sale.",
                          message_id=f"{service}-{day}@{service}.example",
                          sender_ip="198.51.100.4",
-                         sender_host=f"out.{service}.example")
+                         sender_host=f"out.{service}.example",
+                         spf="pass", dkim="pass")
         (eml_dir / f"{service}-{day}.eml").write_bytes(raw)
     return ["--corpus-dir", str(eml_dir), "--registry", str(registry),
             "--out", str(tmp_path / "out"), "--set", f"trusted_mx={TRUSTED_MX}"]
@@ -850,7 +859,7 @@ def test_fixture_check_reports_and_fails(tmp_path):
 
 def test_make_corpus_script_runs(tmp_path):
     result = subprocess.run(
-        [sys.executable, "scripts/make_synthetic_corpus.py", str(tmp_path),
+        [sys.executable, "scripts/synth.py", str(tmp_path),
          "--seed", "1", "--days", "20"],
         cwd=Path(__file__).resolve().parents[1],
         capture_output=True, text=True)

@@ -4,12 +4,12 @@ from collections import Counter
 from datetime import datetime, timezone
 
 import pytest
+from gen import TRUSTED_MX, render_eml
 
 from inboxaudit.corpus.aliases import load_alias_registry
 from inboxaudit.corpus.eml import UNMATCHED
 from inboxaudit.corpus.store import (CorpusStore, ingest_corpus,
                                      read_corpus_jsonl, write_corpus_jsonl)
-from inboxaudit.synth import TRUSTED_MX, render_eml
 
 
 def test_ingest_counts_on_synthetic_corpus(synth_corpus):
@@ -66,7 +66,7 @@ def test_duplicate_message_id_first_wins(tmp_path, synth_corpus):
     common = dict(to_addr="maple000@audit.example",
                   from_addr="a@shopzilla.com",
                   message_id="dup@x", sender_ip="167.89.1.1",
-                  trusted_mx=TRUSTED_MX)
+                  sender_host="out.shopzilla.com", spf="pass", dkim="pass")
     first = render_eml(date=datetime(2024, 1, 1, tzinfo=timezone.utc),
                        subject="first copy", body="b", **common)
     second = render_eml(date=datetime(2024, 1, 2, tzinfo=timezone.utc),

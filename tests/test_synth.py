@@ -5,10 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
 
 _BUILD = ("import sys\n"
-          "from inboxaudit.synth import make_synthetic_corpus\n"
+          "from synth import make_synthetic_corpus\n"
           "make_synthetic_corpus(sys.argv[1], seed=7, n_days=5)\n")
 
 
@@ -23,7 +23,8 @@ def test_synthetic_corpus_identical_under_any_hash_seed(tmp_path):
         out = tmp_path / f"hashseed{hash_seed}"
         env = dict(os.environ, PYTHONHASHSEED=hash_seed,
                    PYTHONPATH=os.pathsep.join(
-                       filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+                       filter(None, [str(ROOT / "src"), str(ROOT / "scripts"),
+                                     os.environ.get("PYTHONPATH")])))
         result = subprocess.run([sys.executable, "-c", _BUILD, str(out)],
                                 env=env, capture_output=True, text=True,
                                 timeout=120)
