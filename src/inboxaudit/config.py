@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from urllib.parse import urlsplit
@@ -87,6 +88,9 @@ def _is_http_url(text: str) -> bool:
     return url.scheme in ("http", "https") and bool(url.hostname)
 
 
+# a float value; float() alone also takes a sign, an exponent, underscores,
+# non-ASCII digits, surrounding spaces, nan and inf
+_DECIMAL = re.compile(r"[0-9]+(?:\.[0-9]+)?")
 _SCALAR_FIELDS = {f.name: f.type for f in dataclasses.fields(AuditConfig)
                   if f.name != "adapter"}
 _ADAPTER_FIELDS = {f"adapter_{f.name}": f.name for f in dataclasses.fields(AdapterConfig)}
@@ -115,6 +119,9 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 
 
 def _coerce(key: str, value: str, target_type: type) -> object:
+    if target_type is float and not _DECIMAL.fullmatch(value):
+        raise ConfigError(f"{key} must be ASCII digits with an optional "
+                          f".digits fraction, got {value!r}")
     try:
         if target_type is int:  # no sign, underscores or non-ASCII digits
             return ascii_decimal(value, key)

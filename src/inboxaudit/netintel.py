@@ -4,15 +4,21 @@ All data comes from point-in-time snapshot files (never live WHOIS/BGP),
 so runs are reproducible. Each snapshot row, CIDR or range, is one
 [first, last] address interval. Where rows overlap, the smallest
 containing row wins and, between rows of one size, the later row; for
-CIDR rows that is longest-prefix match. Published ip2asn range files are
-disjoint, so the rule only decides for hand-made snapshots, and a
-snapshot whose rows are disjoint is used as sorted, without the overlap
-sweep. Range ends and looked-up IPs are parsed to integers with
-``socket.inet_pton`` (``ipaddress`` only for what it rejects, such as
-scoped IPv6 addresses, and for the error text); the rows with the same
-ASN and organization cells share one ``AsnRecord``, so each distinct
-cell is parsed once. Private and reserved source IPs are excluded from
-profiles and flow outputs as internal hops.
+CIDR rows that is longest-prefix match. A snapshot is read one line at a
+time (lines as ``str.splitlines`` ends them), and each row is appended
+to its family's columns of first addresses, last addresses and records,
+so no list of lines or of row tuples is kept. Published ip2asn range
+files are disjoint and sorted, so the rule only decides for hand-made
+snapshots: a family whose rows arrive sorted and disjoint is used as
+read, and only another goes through ``_flatten``. Bytes that are not
+UTF-8 are reported when the reader decodes them, 8 KiB at a time, so a
+bad row before them is named first. Range ends and looked-up IPs are
+parsed to integers with ``socket.inet_pton`` (``ipaddress`` only for
+what it rejects, such as scoped IPv6 addresses, and for the error text);
+the rows with the same ASN and organization cells share one
+``AsnRecord``, so each distinct cell is parsed once. Private and
+reserved source IPs are excluded from profiles and flow outputs as
+internal hops.
 """
 
 from __future__ import annotations
@@ -21,13 +27,15 @@ import csv
 import heapq
 import ipaddress
 import socket
+from array import array
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime
+from functools import partial
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 from .authlineage import ProvenanceLabel, org_matches
 from .corpus.eml import UNMATCHED, EmailRecord
@@ -39,6 +47,10 @@ UNROUTED = "unrouted"
 
 class SnapshotParseError(ValueError):
     pass
+
+
+# an address column of each family: IPv4 addresses fit a C unsigned int
+_COLUMN = {4: partial(array, "I"), 6: list}
 
 
 @dataclass(frozen=True)
@@ -94,39 +106,62 @@ def _flatten(rows: list[tuple[int, int, AsnRecord]]
 
 
 class AsnTable:
-    """ASN lookup over (IP version, first, last, record) integer rows,
-    flattened at build time into sorted, disjoint intervals per family (the
-    module docstring says which row wins an overlap), so a lookup is one
-    bisect."""
+    """ASN lookup over (IP version, first, last, record) integer rows, kept
+    per family as three columns: first addresses, last addresses and
+    records. Rows that arrive sorted and disjoint are the table as they
+    come; a family with a row that starts before the previous one ends is
+    flattened into sorted, disjoint intervals (the module docstring says
+    which row wins an overlap). A lookup is one bisect of the first
+    addresses."""
 
-    def __init__(self, rows: Sequence[tuple[int, int, int, AsnRecord]] = ()):
-        self._rows = len(rows)
-        self._flat = {family: _flatten([(first, last, record)
-                                        for version, first, last, record in rows
-                                        if version == family])
-                      for family in (4, 6)}
-        self._starts = {family: [first for first, _, _ in flat]
-                        for family, flat in self._flat.items()}
+    def __init__(self, rows: Iterable[tuple[int, int, int, AsnRecord]] = ()):
+        columns = {family: (_COLUMN[family](), _COLUMN[family](), [])
+                   for family in (4, 6)}
+        disjoint = {4: True, 6: True}
+        for version, first, last, record in rows:
+            starts, lasts, records = columns[version]
+            if lasts and first <= lasts[-1]:
+                disjoint[version] = False
+            starts.append(first)
+            lasts.append(last)
+            records.append(record)
+        self._rows = len(columns[4][2]) + len(columns[6][2])
+        for family, (starts, lasts, records) in columns.items():
+            if not disjoint[family]:
+                starts, lasts, records = zip(*_flatten(
+                    list(zip(starts, lasts, records))))
+                columns[family] = (_COLUMN[family](starts),
+                                   _COLUMN[family](lasts), list(records))
+        self._columns = columns
 
     def __len__(self) -> int:
         return self._rows
+
+    def intervals(self, version: int) -> list[tuple[int, int, AsnRecord]]:
+        """The sorted, disjoint (first, last, record) intervals of a family."""
+        return list(zip(*self._columns[version]))
 
     def lookup(self, ip: str) -> AsnRecord | None:
         try:
             version, value = _address(ip)
         except ValueError:
             return None
-        i = bisect_right(self._starts[version], value) - 1
-        if i >= 0:
-            _, last, record = self._flat[version][i]
-            if value <= last:
-                return record
+        starts, lasts, records = self._columns[version]
+        i = bisect_right(starts, value) - 1
+        if i >= 0 and value <= lasts[i]:
+            return records[i]
         return None
 
 
-def _read_utf8(path: str | Path) -> str:
+def _lines(path: str | Path) -> Iterator[str]:
+    """The lines ``str.splitlines`` gives of a UTF-8 file's text, read one
+    physical line at a time: with ``newline=""`` a physical line ends only
+    at ``\\n``, ``\\r`` or ``\\r\\n``, never inside a ``\\r\\n``, and
+    ``splitlines`` breaks it at the other separators."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline="") as handle:
+            for physical in handle:
+                yield from physical.splitlines()
     except UnicodeDecodeError as exc:
         raise SnapshotParseError(f"{path}: not UTF-8: {exc}") from exc
 
@@ -134,7 +169,7 @@ def _read_utf8(path: str | Path) -> str:
 def _snapshot_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
     """(line number, cells) of each TSV or CSV row but blank and '#' lines.
     Only a line with a quote needs ``csv.reader``; any other is split."""
-    for lineno, raw in enumerate(_read_utf8(path).splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(path), start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
             delim = "\t" if "\t" in line else ","
@@ -160,9 +195,11 @@ def _parse_asn(cell: str) -> int:
 
 def load_ip2asn(path: str | Path) -> AsnTable:
     """Load an ASN snapshot: rows of CIDR or (range_start, range_end) + asn + org."""
-    rows: list[tuple[int, int, int, AsnRecord]] = []
+    return AsnTable(_ip2asn_rows(Path(path)))
+
+
+def _ip2asn_rows(path: Path) -> Iterator[tuple[int, int, int, AsnRecord]]:
     records: dict[tuple[str, str], AsnRecord] = {}  # by raw (asn, org) cells
-    path = Path(path)
     for lineno, cells in _snapshot_rows(path):
         try:
             if "/" in cells[0]:
@@ -189,8 +226,7 @@ def load_ip2asn(path: str | Path) -> AsnTable:
                 record = records[key] = AsnRecord(_parse_asn(asn), key[1])
         except ValueError as exc:
             raise SnapshotParseError(f"{path}: row {lineno}: {exc}") from exc
-        rows.append((version, first, last, record))
-    return AsnTable(rows)
+        yield version, first, last, record
 
 
 def is_internal_hop(ip: str) -> bool:
@@ -210,7 +246,7 @@ def flag_marketing_asn(record: AsnRecord | None, provider_list: list[str]) -> bo
 def load_provider_list(path: str | Path) -> list[str]:
     """One organization substring per line, lowercased; '#' comments allowed."""
     entries: list[str] = []
-    for raw in _read_utf8(path).splitlines():
+    for raw in _lines(path):
         line = raw.split("#", 1)[0].strip()
         if line:
             entries.append(line.lower())

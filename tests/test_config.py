@@ -116,13 +116,21 @@ def test_bad_coercion_is_config_error():
     ({"seed": "\u0664\u0662"}, "seed"),
     ({"adapter_pool_size": "1_6"}, "adapter_pool_size"),
     ({"adapter_retries": "+2"}, "adapter_retries"),
+    # float() alone would read these as 10.0, 4.0, 3.0, -1.0 and 1000.0
+    ({"adapter_timeout_s": "1_0"}, "adapter_timeout_s"),
+    ({"adapter_timeout_s": "\u0664"}, "adapter_timeout_s"),
+    ({"adapter_timeout_s": " +3 "}, "adapter_timeout_s"),
+    ({"adapter_timeout_s": "-1"}, "adapter_timeout_s"),
+    ({"adapter_timeout_s": "1e3"}, "adapter_timeout_s"),
 ], ids=[  # each case keeps the name it had when the list was longer
     "values0-classifier", "values1-adapter_endpoint",
     "values8-pca_variance_threshold", "values9-audit_timezone",
     "values10-audit_timezone", "values11-seed", "values14-trusted_mx",
     "timeout-nan", "timeout-inf", "timeout-1e12", "endpoint-no-scheme",
     "endpoint-ftp", "endpoint-no-host", "endpoint-bad-port",
-    "seed-underscore", "seed-arabic-indic", "pool-underscore", "retries-sign"])
+    "seed-underscore", "seed-arabic-indic", "pool-underscore", "retries-sign",
+    "timeout-underscore", "timeout-arabic-indic", "timeout-sign",
+    "timeout-negative", "timeout-exponent"])
 def test_validation_rejections(values, needle):
     with pytest.raises(ConfigError, match=needle):
         build_config(file_values=values)
@@ -147,6 +155,8 @@ def test_validate_direct():
 @pytest.mark.parametrize("endpoint, timeout", [
     ("https://classifier.example:8443/v1", "86400"),
     ("HTTP://[::1]/classify", "0.001"),
+    ("http://classifier.example/v1", "30"),
+    ("http://classifier.example/v1", "2.5"),
 ])
 def test_adapter_limits_accept(endpoint, timeout):
     cfg = build_config(file_values={"classifier": "external",

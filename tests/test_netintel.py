@@ -4,6 +4,7 @@ import csv
 import heapq
 import ipaddress
 import random
+import tracemalloc
 from datetime import datetime, timezone
 from types import SimpleNamespace
 
@@ -106,6 +107,90 @@ def test_snapshot_rows_match_csv_reader(tmp_path_factory, line):
     expected = [cell.strip()
                 for cell in next(csv.reader([stripped], delimiter=delim))]
     assert list(netintel._snapshot_rows(path)) == [(1, expected)]
+
+
+def _whole_text_rows(path):
+    """``_snapshot_rows`` as it read before the line-at-a-time reader: the
+    whole text decoded, then ``str.splitlines``; a csv.Error as its text."""
+    rows = []
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(),
+                                 start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            delim = "\t" if "\t" in line else ","
+            try:
+                cells = (next(csv.reader([line], delimiter=delim))
+                         if '"' in line else line.split(delim))
+            except csv.Error as exc:
+                return rows, str(exc)
+            rows.append((lineno, [cell.strip() for cell in cells]))
+    return rows, None
+
+
+# every line boundary str.splitlines knows, "\r\n" among them
+_SEPARATORS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+               "\x85", "\u2028", "\u2029"]
+_CHUNK = 8192   # bytes the text reader decodes at a time
+
+
+@settings(max_examples=300)
+@given(pad=st.sampled_from([0, _CHUNK - 2, _CHUNK - 1, _CHUNK]),
+       lines=st.lists(st.tuples(st.text(_LINE_CHARS | st.just("#"),
+                                        max_size=12),
+                                st.sampled_from(_SEPARATORS)), max_size=30),
+       tail=st.text(_LINE_CHARS, max_size=6))
+@example(pad=_CHUNK - 1, lines=[("1.2.3.0/24\t1\tA", "\r\n")], tail="")
+def test_streamed_rows_match_whole_text_reading(tmp_path_factory, pad, lines,
+                                                tail):
+    # a padding comment ends with "\r" as the last byte of the first chunk
+    # (pad = _CHUNK - 1) or around it, so its "\r\n" straddles the chunks
+    head = "#" * pad + "\r\n" if pad else ""
+    text = head + "".join(line + sep for line, sep in lines) + tail
+    path = tmp_path_factory.mktemp("rows") / "snapshot.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    expected, error = _whole_text_rows(path)
+    got = []
+    try:
+        got.extend(netintel._snapshot_rows(path))
+    except SnapshotParseError as exc:
+        assert error is not None and str(exc).endswith(error)
+    else:
+        assert error is None
+    assert got == expected
+
+
+def test_non_utf8_byte_is_reported_where_the_reader_reaches_it(tmp_path):
+    rows = "".join(f"10.{i // 256}.{i % 256}.0/24\t{i}\tORG\n"
+                   for i in range(1000))          # about 22 KB
+    late = tmp_path / "late.tsv"
+    late.write_bytes(b"1.2.3.0/24\tASX\torg\n" + rows.encode() + b"caf\xe9\n")
+    with pytest.raises(SnapshotParseError, match="row 1: asn"):
+        load_ip2asn(late)
+    early = tmp_path / "early.tsv"
+    early.write_bytes(b"caf\xe9\n" + rows.encode())
+    with pytest.raises(SnapshotParseError, match="early.tsv: not UTF-8"):
+        load_ip2asn(early)
+    with pytest.raises(SnapshotParseError, match="early.tsv: not UTF-8"):
+        load_abuse_reports(early)
+
+
+def test_disjoint_range_load_peak_memory_per_row(tmp_path):
+    # published ip2asn files are disjoint ranges with far fewer ASNs than
+    # rows; holding the file's lines and a tuple per row took ~300 B a row
+    n = 20_000
+    path = write_snapshot(tmp_path, "".join(
+        f"{ipaddress.IPv4Address((16 << 24) + 512 * i)}"
+        f"\t{ipaddress.IPv4Address((16 << 24) + 512 * i + 255)}"
+        f"\t{64512 + i % 1700}\tNET-{i % 1700} HOSTING\n" for i in range(n)))
+    tracemalloc.start()
+    try:
+        table = load_ip2asn(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == n
+    assert table.lookup("16.0.2.7") == AsnRecord(64513, "NET-1 HOSTING")
+    assert peak / n <= 200, f"{peak / n:.0f} B per row"
 
 
 def test_abuse_reports_keep_csv_quoting(tmp_path):
@@ -374,13 +459,28 @@ def test_flatten_matches_the_sweep(tmp_path, monkeypatch, shape, seed):
                                 for (first, last), record
                                 in zip(intervals, records)])
 
-    assert table._flat[4] == expected(v4, 0, orgs)
-    assert table._flat[6] == expected(v6, 2**64, orgs[len(v4):])
+    assert table.intervals(4) == expected(v4, 0, orgs)
+    assert table.intervals(6) == expected(v6, 2**64, orgs[len(v4):])
 
     # rows of one (asn, org) share one record
     records = [record for family in (4, 6)
-               for _, _, record in table._flat[family]]
+               for _, _, record in table.intervals(family)]
     assert len({id(record) for record in records}) == len(set(records))
+
+    # each row's ends and the addresses just outside them get the record
+    # the oracle's intervals give
+    for intervals, offset, flat, make in (
+            (v4, 0, table.intervals(4), ipaddress.IPv4Address),
+            (v6, 2**64, table.intervals(6), ipaddress.IPv6Address)):
+        oracle = expected(intervals, offset, orgs if offset == 0
+                          else orgs[len(v4):])
+        for first, last in intervals:
+            for value in (first - 1, first, last, last + 1):
+                if offset + value < 0:
+                    continue
+                want = next((record for lo, hi, record in oracle
+                             if lo <= offset + value <= hi), None)
+                assert table.lookup(str(make(offset + value))) == want, value
 
 
 @pytest.mark.parametrize("ip,expected", [
