@@ -11,14 +11,14 @@ so no list of lines or of row tuples is kept. Published ip2asn range
 files are disjoint and sorted, so the rule only decides for hand-made
 snapshots: a family whose rows arrive sorted and disjoint is used as
 read, and only another goes through ``_flatten``. Bytes that are not
-UTF-8 are reported when the reader decodes them, 8 KiB at a time, so a
-bad row before them is named first. Range ends and looked-up IPs are
-parsed to integers with ``socket.inet_pton`` (``ipaddress`` only for
-what it rejects, such as scoped IPv6 addresses, and for the error text);
-the rows with the same ASN and organization cells share one
-``AsnRecord``, so each distinct cell is parsed once. Private and
-reserved source IPs are excluded from profiles and flow outputs as
-internal hops.
+UTF-8 are reported, with their file offset, when the reader decodes
+them, 8 KiB at a time, so a bad row before them is named first. Range
+ends and looked-up IPs are parsed to integers with ``socket.inet_pton``
+(``ipaddress`` only for what it rejects, such as scoped IPv6 addresses,
+and for the error text); the rows with the same ASN and organization
+cells share one ``AsnRecord``, so each distinct cell is parsed once.
+Private and reserved source IPs are excluded from profiles and flow
+outputs as internal hops.
 """
 
 from __future__ import annotations
@@ -157,13 +157,18 @@ def _lines(path: str | Path) -> Iterator[str]:
     """The lines ``str.splitlines`` gives of a UTF-8 file's text, read one
     physical line at a time: with ``newline=""`` a physical line ends only
     at ``\\n``, ``\\r`` or ``\\r\\n``, never inside a ``\\r\\n``, and
-    ``splitlines`` breaks it at the other separators."""
-    try:
-        with open(path, encoding="utf-8", newline="") as handle:
+    ``splitlines`` breaks it at the other separators. Bytes that are not
+    UTF-8 are named by their offset in the file: the decoder's own
+    position counts from the start of the chunk it was given, which ends
+    where the binary buffer now is."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        try:
             for physical in handle:
                 yield from physical.splitlines()
-    except UnicodeDecodeError as exc:
-        raise SnapshotParseError(f"{path}: not UTF-8: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            offset = handle.buffer.tell() - len(exc.object) + exc.start
+            raise SnapshotParseError(
+                f"{path}: not UTF-8: {exc.reason} at byte {offset}") from exc
 
 
 def _snapshot_rows(path: Path) -> Iterator[tuple[int, list[str]]]:

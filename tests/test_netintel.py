@@ -134,16 +134,18 @@ _CHUNK = 8192   # bytes the text reader decodes at a time
 
 
 @settings(max_examples=300)
-@given(pad=st.sampled_from([0, _CHUNK - 2, _CHUNK - 1, _CHUNK]),
+@given(pad=st.sampled_from([0, _CHUNK - 3, _CHUNK - 2, _CHUNK - 1, _CHUNK]),
        lines=st.lists(st.tuples(st.text(_LINE_CHARS | st.just("#"),
                                         max_size=12),
                                 st.sampled_from(_SEPARATORS)), max_size=30),
        tail=st.text(_LINE_CHARS, max_size=6))
 @example(pad=_CHUNK - 1, lines=[("1.2.3.0/24\t1\tA", "\r\n")], tail="")
+@example(pad=_CHUNK - 3, lines=[("\u00e9", "\u2028")], tail="")
 def test_streamed_rows_match_whole_text_reading(tmp_path_factory, pad, lines,
                                                 tail):
     # a padding comment ends with "\r" as the last byte of the first chunk
-    # (pad = _CHUNK - 1) or around it, so its "\r\n" straddles the chunks
+    # (pad = _CHUNK - 1) or around it, so its "\r\n" straddles the chunks;
+    # with pad = _CHUNK - 3 a two-byte character after it does
     head = "#" * pad + "\r\n" if pad else ""
     text = head + "".join(line + sep for line, sep in lines) + tail
     path = tmp_path_factory.mktemp("rows") / "snapshot.tsv"
@@ -172,6 +174,20 @@ def test_non_utf8_byte_is_reported_where_the_reader_reaches_it(tmp_path):
         load_ip2asn(early)
     with pytest.raises(SnapshotParseError, match="early.tsv: not UTF-8"):
         load_abuse_reports(early)
+    # the offset counts from the file's start, not from the decoded chunk
+    tail = tmp_path / "tail.tsv"
+    tail.write_bytes(rows.encode() + b"caf\xe9\n")
+    with pytest.raises(SnapshotParseError, match=(
+            f"tail.tsv: not UTF-8: invalid continuation byte at byte "
+            f"{len(rows) + 3}$")):
+        load_ip2asn(tail)
+    # a bad sequence that starts in one chunk and ends in the next
+    straddle = tmp_path / "straddle.tsv"
+    straddle.write_bytes(b"#" * (_CHUNK - 1) + b"\xc3(\n" + rows.encode())
+    with pytest.raises(SnapshotParseError, match=(
+            f"straddle.tsv: not UTF-8: invalid continuation byte at byte "
+            f"{_CHUNK - 1}$")):
+        load_ip2asn(straddle)
 
 
 def test_disjoint_range_load_peak_memory_per_row(tmp_path):
@@ -469,18 +485,18 @@ def test_flatten_matches_the_sweep(tmp_path, monkeypatch, shape, seed):
 
     # each row's ends and the addresses just outside them get the record
     # the oracle's intervals give
-    for intervals, offset, flat, make in (
-            (v4, 0, table.intervals(4), ipaddress.IPv4Address),
-            (v6, 2**64, table.intervals(6), ipaddress.IPv6Address)):
-        oracle = expected(intervals, offset, orgs if offset == 0
-                          else orgs[len(v4):])
+    for intervals, offset, records, make in (
+            (v4, 0, orgs, ipaddress.IPv4Address),
+            (v6, 2**64, orgs[len(v4):], ipaddress.IPv6Address)):
+        oracle = expected(intervals, offset, records)
         for first, last in intervals:
-            for value in (first - 1, first, last, last + 1):
-                if offset + value < 0:
+            for value in (offset + first - 1, offset + first,
+                          offset + last, offset + last + 1):
+                if value < 0:
                     continue
                 want = next((record for lo, hi, record in oracle
-                             if lo <= offset + value <= hi), None)
-                assert table.lookup(str(make(offset + value))) == want, value
+                             if lo <= value <= hi), None)
+                assert table.lookup(str(make(value))) == want, value
 
 
 @pytest.mark.parametrize("ip,expected", [
