@@ -38,6 +38,13 @@ the pairs run (a pair with a run that gave no result is not a win), the
 medians differ, in the better direction, by more than the base's
 interquartile range, and the change had no more runs without a result
 and no larger share of failed operations than the base.
+
+Each end-to-end metric also gets the two flags of the no-regression rule,
+both against the base median times that metric's ``bound`` in
+``BENCHMARK.json``: ``within_bound`` when the change's median is worse
+than the base median by no more than that, and ``unresolved`` when the
+base's interquartile range is wider than it, so the runs' spread is too
+wide to tell a regression of that size.
 """
 
 from __future__ import annotations
@@ -125,6 +132,12 @@ def _better_directions() -> dict[str, str]:
             for m in SPEC["end_to_end"] + SPEC["per_layer"]}
 
 
+def _bounds() -> dict[str, float]:
+    """Each end-to-end metric's bound: the share of the base median by
+    which the change may be worse."""
+    return {m["name"]: m["bound"] for m in SPEC["end_to_end"]}
+
+
 def _failures(runs: list[dict], side: str) -> dict:
     results = [r["result"] for r in runs
                if r["side"] == side and r["result"] is not None]
@@ -143,9 +156,11 @@ def _fails_more(failures: dict) -> bool:
             > base["failed"] * max(change["attempted"], 1))
 
 
-def summarise(runs: list[dict], better: dict[str, str], n_pairs: int) -> dict:
+def summarise(runs: list[dict], better: dict[str, str], n_pairs: int,
+              bounds: dict[str, float]) -> dict:
     """Per side quartiles and per metric pair wins of the change over the
-    ``n_pairs`` pairs run."""
+    ``n_pairs`` pairs run; for a metric with a bound, whether the change is
+    within it and whether the base's spread leaves it unresolved."""
     failures = {side: _failures(runs, side) for side in SIDES}
     fails_more = _fails_more(failures)
     pairs: dict[int, dict[str, dict]] = {}
@@ -173,6 +188,9 @@ def summarise(runs: list[dict], better: dict[str, str], n_pairs: int) -> dict:
                          ties=sum(d == 0 for d in diffs),
                          claimable=(wins >= 0.9 * n_pairs and gain > iqr
                                     and not fails_more))
+            if name in bounds:
+                limit = bounds[name] * abs(entry["base"]["median"])
+                entry.update(within_bound=-gain <= limit, unresolved=iqr > limit)
         metrics[name] = entry
     return {"pairs": n_pairs, "complete_pairs": len(complete),
             "failures": failures, "change_fails_more": fails_more,
@@ -213,7 +231,8 @@ def main() -> None:
         "seed": args.seed,
         "trace": args.trace,
         "checkouts": {side: _describe(path) for side, path in checkouts.items()},
-        "summary": summarise(runs, _better_directions(), args.pairs),
+        "summary": summarise(runs, _better_directions(), args.pairs,
+                             _bounds()),
         "runs": runs,
     }
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n",

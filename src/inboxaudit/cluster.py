@@ -169,36 +169,74 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return centroids
 
 
-def _lloyd(x: np.ndarray, centroids: np.ndarray
-           ) -> tuple[np.ndarray, float, list[float]]:
+def _assign(x: np.ndarray, centroids: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's nearest centroid and its squared distance to it, as two
+    (restarts, n) arrays, for each restart's (k, d) centroids. A distance
+    is a sum over the d axis of a C-contiguous (restarts, n, k, d) array,
+    so it is the sum that restart alone gives."""
     import numpy as np
-    n, k = x.shape[0], centroids.shape[0]
-    labels = np.full(n, -1)
-    history: list[float] = []
+    dists = ((x[None, :, None, :] - centroids[:, None, :, :]) ** 2).sum(axis=3)
+    labels = dists.argmin(axis=2)
+    return labels, np.take_along_axis(dists, labels[:, :, None], axis=2)[..., 0]
+
+
+def _lloyd(x: np.ndarray, centroids: np.ndarray
+           ) -> tuple[np.ndarray, list[float], list[list[float]]]:
+    """Lloyd refinement of every restart's (k, d) centroids at once: each
+    restart's labels, inertia and per-iteration inertia history, as Lloyd
+    on that restart alone gives them. A restart stops when its labels stop
+    changing; the others go on without it."""
+    import numpy as np
+    restarts, k, d = centroids.shape
+    n = x.shape[0]
+    labels = np.full((restarts, n), -1)
+    inertia = [0.0] * restarts
+    history: list[list[float]] = [[] for _ in range(restarts)]
+    active = np.arange(restarts)
     for _ in range(_MAX_LLOYD_ITER):
-        dists = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        new_labels = dists.argmin(axis=1)
-        history.append(float(dists[np.arange(n), new_labels].sum()))
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-        for c in range(k):
-            members = x[labels == c]
-            if len(members) > 0:
-                centroids[c] = members.mean(axis=0)
-            else:
-                # re-seed an empty cluster with the worst-fit point
-                per_point = dists[np.arange(n), labels]
-                centroids[c] = x[int(per_point.argmax())]
-    dists = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    labels = dists.argmin(axis=1)
-    inertia = float(dists[np.arange(n), labels].sum())
+        new_labels, closest = _assign(x, centroids[active])
+        for r, total in zip(active.tolist(), closest.sum(axis=1).tolist()):
+            history[r].append(total)
+        moved = (new_labels != labels[active]).any(axis=1)
+        for r in active[~moved].tolist():
+            inertia[r] = history[r][-1]
+        active = active[moved]
+        if not active.size:
+            return labels, inertia, history
+        new_labels, closest = new_labels[moved], closest[moved]
+        labels[active] = new_labels
+        # each (restart, cluster) bin sums its members in point order, as
+        # numpy's mean(axis=0) sums an (m, d) block for d > 1; a one-column
+        # block it sums pairwise, so for d = 1 each bin takes that sum
+        a = len(active)
+        bins = (new_labels + k * np.arange(a)[:, None]).ravel()
+        counts = np.bincount(bins, minlength=a * k).reshape(a, k)
+        if d == 1:
+            sums = np.array([[x[row == c].sum(axis=0) for c in range(k)]
+                             for row in new_labels])
+        else:
+            sums = np.bincount((bins[:, None] * d + np.arange(d)).ravel(),
+                               weights=np.broadcast_to(x, (a, n, d)).ravel(),
+                               minlength=a * k * d).reshape(a, k, d)
+        means = sums / np.maximum(counts, 1)[:, :, None]
+        # re-seed an empty cluster with its restart's worst-fit point
+        empty_r, empty_c = np.nonzero(counts == 0)
+        means[empty_r, empty_c] = x[closest.argmax(axis=1)[empty_r]]
+        centroids[active] = means
+    labels[active], closest = _assign(x, centroids[active])
+    for r, total in zip(active.tolist(), closest.sum(axis=1).tolist()):
+        inertia[r] = total
     return labels, inertia, history
 
 
 def kmeans(matrix: np.ndarray, k: int, seed: int = DEFAULT_SEED,
            restarts: int = 10) -> KmeansResult:
-    """Best-of-restarts K-Means with k-means++ seeding and Lloyd refinement."""
+    """Best-of-restarts K-Means with k-means++ seeding and Lloyd refinement.
+
+    Every restart's seeding is drawn first, in restart order from one
+    generator; Lloyd then refines all restarts together, and the first
+    restart with the lowest inertia wins."""
     import numpy as np
     x = np.asarray(matrix, dtype=float)
     if k < 2:
@@ -206,40 +244,46 @@ def kmeans(matrix: np.ndarray, k: int, seed: int = DEFAULT_SEED,
     if x.shape[0] < k:
         raise ValueError(f"{x.shape[0]} rows cannot support k={k}")
     rng = np.random.default_rng(seed)
-    best: KmeansResult | None = None
-    for _ in range(max(1, restarts)):
-        labels, inertia, history = _lloyd(x, _kmeans_pp_init(x, k, rng))
-        if best is None or inertia < best.inertia:
-            best = KmeansResult(labels=labels, inertia=inertia,
-                                inertia_history=history)
-    assert best is not None
-    return best
+    centroids = np.stack([_kmeans_pp_init(x, k, rng)
+                          for _ in range(max(1, restarts))])
+    labels, inertia, history = _lloyd(x, centroids)
+    best = min(range(len(inertia)), key=inertia.__getitem__)
+    return KmeansResult(labels=labels[best], inertia=inertia[best],
+                        inertia_history=history[best])
 
 
 def silhouette(matrix: np.ndarray, labels: np.ndarray) -> float:
-    """Mean silhouette over points; singleton-cluster points score 0."""
+    """Mean silhouette over points; singleton-cluster points score 0.
+
+    A point's distance sum to each cluster is a row sum over that
+    cluster's columns in a C-contiguous copy of the distance matrix whose
+    columns are grouped by cluster, in point order within each: the values
+    and the pairwise summation order of the point's row masked to that
+    cluster."""
     import numpy as np
     x = np.asarray(matrix, dtype=float)
-    labels = np.asarray(labels)
-    unique = np.unique(labels)
+    unique, cluster, sizes = np.unique(np.asarray(labels), return_inverse=True,
+                                       return_counts=True)
     if len(unique) < 2:
         raise ValueError("silhouette undefined for a single cluster")
     n = x.shape[0]
     diffs = x[:, None, :] - x[None, :, :]
     dists = np.sqrt((diffs ** 2).sum(axis=2))
-    scores = np.zeros(n)
-    for i in range(n):
-        own = labels[i]
-        own_mask = labels == own
-        own_size = int(own_mask.sum())
-        if own_size <= 1:
-            scores[i] = 0.0
-            continue
-        a = dists[i][own_mask].sum() / (own_size - 1)
-        b = min(dists[i][labels == other].mean()
-                for other in unique if other != own)
-        denom = max(a, b)
-        scores[i] = 0.0 if denom == 0.0 else (b - a) / denom
+    grouped = np.ascontiguousarray(
+        dists[:, np.argsort(cluster, kind="stable")])
+    ends = np.cumsum(sizes).tolist()
+    sums = np.stack([grouped[:, end - size:end].sum(axis=1)
+                     for size, end in zip(sizes.tolist(), ends)], axis=1)
+    points = np.arange(n)
+    own_size = sizes[cluster]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = sums[points, cluster] / (own_size - 1)
+        means = sums / sizes
+        means[points, cluster] = np.inf
+        b = means.min(axis=1)
+        denom = np.maximum(a, b)
+        scores = (b - a) / denom
+    scores[(own_size <= 1) | (denom == 0.0)] = 0.0
     return float(scores.mean())
 
 

@@ -12,11 +12,13 @@ files are disjoint and sorted, so the rule only decides for hand-made
 snapshots: a family whose rows arrive sorted and disjoint is used as
 read, and only another goes through ``_flatten``. Bytes that are not
 UTF-8 are reported, with their file offset, when the reader decodes
-them, 8 KiB at a time, so a bad row before them is named first. Range
-ends and looked-up IPs are parsed to integers with ``socket.inet_pton``
+them, 8 KiB at a time, so a bad row before them is named first. The
+ip2asn loader takes each line through one loop: split, strip, and parse
+both range ends to integers with ``socket.inet_pton`` in place
 (``ipaddress`` only for what it rejects, such as scoped IPv6 addresses,
-and for the error text); the rows with the same ASN and organization
-cells share one ``AsnRecord``, so each distinct cell is parsed once.
+and for the error text); looked-up IPs are parsed the same way. The rows
+with the same ASN and organization cells share one ``AsnRecord``, so
+each distinct cell is parsed once.
 Private and reserved source IPs are excluded from profiles and flow
 outputs as internal hops.
 """
@@ -51,6 +53,8 @@ class SnapshotParseError(ValueError):
 
 # an address column of each family: IPv4 addresses fit a C unsigned int
 _COLUMN = {4: partial(array, "I"), 6: list}
+# the inet_pton family of an address of each IP version
+_FAMILY = {4: socket.AF_INET, 6: socket.AF_INET6}
 
 
 @dataclass(frozen=True)
@@ -66,13 +70,13 @@ class AsnRecord:
 def _address(text: str) -> tuple[int, int]:
     """(IP version, integer value) of an address, as ``ipaddress.ip_address``
     reads it; ValueError with its message when it is not one."""
+    version = 6 if ":" in text else 4
     try:
-        packed = socket.inet_pton(
-            socket.AF_INET6 if ":" in text else socket.AF_INET, text)
+        packed = socket.inet_pton(_FAMILY[version], text)
     except (OSError, ValueError):     # ValueError: an embedded NUL
         address = ipaddress.ip_address(text)
         return address.version, int(address)
-    return (4 if len(packed) == 4 else 6), int.from_bytes(packed, "big")
+    return version, int.from_bytes(packed, "big")
 
 
 def _sweep(rows: list[tuple[int, int, AsnRecord]]
@@ -204,9 +208,20 @@ def load_ip2asn(path: str | Path) -> AsnTable:
 
 
 def _ip2asn_rows(path: Path) -> Iterator[tuple[int, int, int, AsnRecord]]:
+    """(IP version, first, last, record) of each row, as the lines are read.
+    A line is split, and its cells stripped, as ``_snapshot_rows`` does;
+    range ends go to ``inet_pton`` here, and to ``_address`` only when it
+    rejects one, for scoped IPv6 ends and for the error text."""
     records: dict[tuple[str, str], AsnRecord] = {}  # by raw (asn, org) cells
-    for lineno, cells in _snapshot_rows(path):
+    for lineno, line in enumerate(_lines(path), start=1):
+        line = line.strip()
+        if not line or line[0] == "#":
+            continue
         try:
+            delim = "\t" if "\t" in line else ","
+            cells = [cell.strip() for cell in (
+                next(csv.reader([line], delimiter=delim)) if '"' in line
+                else line.split(delim))]
             if "/" in cells[0]:
                 if len(cells) < 3:
                     raise ValueError("expected cidr, asn, organization")
@@ -218,10 +233,20 @@ def _ip2asn_rows(path: Path) -> Iterator[tuple[int, int, int, AsnRecord]]:
             else:
                 if len(cells) < 4:
                     raise ValueError("expected range_start, range_end, asn, org")
-                version, first = _address(cells[0])
-                last_version, last = _address(cells[1])
-                if version != last_version:
-                    raise ValueError("range start and end differ in family")
+                start, end = cells[0], cells[1]
+                # an end of the other family fails inet_pton in this one
+                version = 6 if ":" in start else 4
+                try:
+                    first = int.from_bytes(
+                        socket.inet_pton(_FAMILY[version], start), "big")
+                    last = int.from_bytes(
+                        socket.inet_pton(_FAMILY[version], end), "big")
+                except (OSError, ValueError):   # ValueError: an embedded NUL
+                    version, first = _address(start)
+                    last_version, last = _address(end)
+                    if version != last_version:
+                        raise ValueError(
+                            "range start and end differ in family") from None
                 if first > last:
                     raise ValueError("range start is after range end")
                 asn, org = cells[2], cells[3:]
@@ -229,7 +254,7 @@ def _ip2asn_rows(path: Path) -> Iterator[tuple[int, int, int, AsnRecord]]:
             record = records.get(key)
             if record is None:
                 record = records[key] = AsnRecord(_parse_asn(asn), key[1])
-        except ValueError as exc:
+        except (ValueError, csv.Error) as exc:
             raise SnapshotParseError(f"{path}: row {lineno}: {exc}") from exc
         yield version, first, last, record
 

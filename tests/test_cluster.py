@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import inboxaudit.cluster as cluster_mod
 from inboxaudit.cluster import (FEATURE_NAMES, InsufficientCompaniesError,
@@ -185,6 +187,142 @@ def test_silhouette_extremes():
     assert silhouette(x, labels) > 0.99
     with pytest.raises(ValueError):
         silhouette(x, np.zeros(16))
+
+
+def _oracle_lloyd(x, centroids, reseeds):
+    """``_lloyd`` as it ran before the restarts were refined together: one
+    restart's centroids, one cluster at a time. Each re-seeded empty
+    cluster is appended to ``reseeds``."""
+    n, k = x.shape[0], centroids.shape[0]
+    labels = np.full(n, -1)
+    history = []
+    for _ in range(cluster_mod._MAX_LLOYD_ITER):
+        dists = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        new_labels = dists.argmin(axis=1)
+        history.append(float(dists[np.arange(n), new_labels].sum()))
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for c in range(k):
+            members = x[labels == c]
+            if len(members) > 0:
+                centroids[c] = members.mean(axis=0)
+            else:
+                reseeds.append(c)
+                per_point = dists[np.arange(n), labels]
+                centroids[c] = x[int(per_point.argmax())]
+    dists = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    labels = dists.argmin(axis=1)
+    inertia = float(dists[np.arange(n), labels].sum())
+    return labels, inertia, history
+
+
+def _oracle_kmeans(x, k, seed, restarts, reseeds):
+    """``kmeans`` as it ran before: seed one restart, refine it, then the
+    next; a later restart wins only with a strictly lower inertia."""
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(max(1, restarts)):
+        result = _oracle_lloyd(x, cluster_mod._kmeans_pp_init(x, k, rng),
+                               reseeds)
+        if best is None or result[1] < best[1]:
+            best = result
+    return best
+
+
+def _oracle_silhouette(x, labels):
+    """``silhouette`` as it ran before: a loop over the points, each
+    cluster's distances masked out of the point's row."""
+    unique = np.unique(labels)
+    if len(unique) < 2:
+        raise ValueError("silhouette undefined for a single cluster")
+    n = x.shape[0]
+    diffs = x[:, None, :] - x[None, :, :]
+    dists = np.sqrt((diffs ** 2).sum(axis=2))
+    scores = np.zeros(n)
+    for i in range(n):
+        own = labels[i]
+        own_mask = labels == own
+        own_size = int(own_mask.sum())
+        if own_size <= 1:
+            scores[i] = 0.0
+            continue
+        a = dists[i][own_mask].sum() / (own_size - 1)
+        b = min(dists[i][labels == other].mean()
+                for other in unique if other != own)
+        denom = max(a, b)
+        scores[i] = 0.0 if denom == 0.0 else (b - a) / denom
+    return float(scores.mean())
+
+
+@st.composite
+def _cluster_inputs(draw):
+    """(matrix, k, seed, restarts): n 2-150, d 1-6, k 2-min(10, n);
+    values rounded for ties, duplicated rows and one far outlier."""
+    n, d = draw(st.integers(2, 150)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(0, 3, size=(n, d))
+    decimals = draw(st.sampled_from([None, 0, 1]))
+    if decimals is not None:
+        x = np.round(x, decimals)
+    copies = draw(st.integers(0, n // 2))
+    x[rng.integers(0, n, copies)] = x[rng.integers(0, n, copies)]
+    if draw(st.booleans()):
+        x[draw(st.integers(0, n - 1))] *= 1000.0
+    return (x, draw(st.integers(2, min(10, n))), draw(st.integers(0, 999)),
+            draw(st.integers(1, 10)))
+
+
+# one column: numpy's mean(axis=0) sums an (m, 1) block pairwise, where a
+# block of more columns is summed row by row
+_ONE_COLUMN = (np.random.default_rng(23).normal(0, 3, size=(60, 1)), 3, 42, 10)
+# the first restart's third cluster loses its last point after its centroid
+# has moved, and is re-seeded away from row 0; the third restart ties the
+# first's inertia, which the first keeps
+_EMPTIES_A_CLUSTER = (np.array([[3, -2], [2, 4], [4, 4], [4, -5], [0, 6],
+                                [2, -3], [-1, 6], [-4, 4], [3, -1], [-6, 2]],
+                               dtype=float), 3, 16646, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_cluster_inputs())
+@example(case=_ONE_COLUMN)
+@example(case=_EMPTIES_A_CLUSTER)
+def test_kmeans_and_silhouette_match_oracles_bit_for_bit(case):
+    x, k, seed, restarts = case
+    labels, inertia, history = _oracle_kmeans(x, k, seed, restarts, [])
+    result = kmeans(x, k, seed=seed, restarts=restarts)
+    assert np.array_equal(result.labels, labels)
+    assert result.inertia == inertia
+    assert result.inertia_history == history
+    relabelled = np.random.default_rng(seed).integers(-1, k, len(x)) * 7
+    for candidate in (labels, relabelled):
+        if len(np.unique(candidate)) < 2:
+            with pytest.raises(ValueError):
+                silhouette(x, candidate)
+        else:
+            assert silhouette(x, candidate) == _oracle_silhouette(x, candidate)
+
+
+def test_empty_cluster_example_runs_the_reseed_branch():
+    x, k, seed, restarts = _EMPTIES_A_CLUSTER
+    reseeds = []
+    _oracle_kmeans(x, k, seed, restarts, reseeds)
+    assert reseeds
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 3])
+def test_kmeans_matches_oracle_when_lloyd_hits_its_cap(monkeypatch, max_iter):
+    # a restart still moving at the cap takes its labels from one more
+    # assignment, not from the last entry of its history
+    monkeypatch.setattr(cluster_mod, "_MAX_LLOYD_ITER", max_iter)
+    rng = np.random.default_rng(12)
+    x = rng.uniform(0, 10, size=(80, 3))
+    labels, inertia, history = _oracle_kmeans(x, 6, 5, 10, [])
+    result = kmeans(x, 6, seed=5, restarts=10)
+    assert len(history) == max_iter
+    assert np.array_equal(result.labels, labels)
+    assert (result.inertia, result.inertia_history) == (inertia, history)
 
 
 @pytest.mark.parametrize("n_blobs", [2, 3])

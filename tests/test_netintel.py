@@ -215,24 +215,153 @@ def test_abuse_reports_keep_csv_quoting(tmp_path):
     assert load_abuse_reports(path) == {"167.89.1.1": 12}
 
 
-@pytest.mark.parametrize("bad", [
-    "167.89.0.0/17\tAS11377\n",            # missing org
-    "not-an-ip\t1.2.3.4\t1\torg\n",        # bad range start
-    "1.2.3.0/24\tASX\torg\n",              # unparseable asn
-    "1.2.3.0/24\t-5\torg\n",               # negative asn
-    "1.2.3.0/24\t99999999999999999999\torg\n",  # asn beyond 32 bits
-    "1.2.3.0\t2001:db8::1\t64500\tX\n",    # range of mixed families
-    "1.2.3.9\t1.2.3.0\t64500\tX\n",        # reversed range
-    "1.2.3.0/24\t1_000\torg\n",            # int() would read 1000
-    "1.2.3.0/24\t+5\torg\n",               # int() would read 5
-    "1.2.3.0/24\t\u0661\u0662\u0663\torg\n",  # Arabic-Indic 123
-    "1.2.3.0/24\tAS+5\torg\n",             # a sign after the prefix
-    "1.2.3.0/24\tASX\torg\n4.5.6.0/24\tASX\torg\n",  # a repeated bad cell
-])
-def test_load_rejects_bad_rows_with_lineno(tmp_path, bad):
+_BAD_ROWS = [
+    ("167.89.0.0/17\tAS11377\n",                   # missing org
+     "expected cidr, asn, organization"),
+    ("not-an-ip\t1.2.3.4\t1\torg\n",               # bad range start
+     "'not-an-ip' does not appear to be an IPv4 or IPv6 address"),
+    ("1.2.3.0/24\tASX\torg\n",                     # unparseable asn
+     "asn 'X' is not a decimal number"),
+    ("1.2.3.0/24\t-5\torg\n",                      # negative asn
+     "asn '-5' is not a decimal number"),
+    ("1.2.3.0/24\t99999999999999999999\torg\n",    # asn beyond 32 bits
+     "asn 99999999999999999999 outside 0-4294967295"),
+    ("1.2.3.0\t2001:db8::1\t64500\tX\n",           # range of mixed families
+     "range start and end differ in family"),
+    ("1.2.3.9\t1.2.3.0\t64500\tX\n",               # reversed range
+     "range start is after range end"),
+    ("1.2.3.0/24\t1_000\torg\n",                   # int() would read 1000
+     "asn '1_000' is not a decimal number"),
+    ("1.2.3.0/24\t+5\torg\n",                      # int() would read 5
+     "asn '+5' is not a decimal number"),
+    ("1.2.3.0/24\t\u0661\u0662\u0663\torg\n",      # Arabic-Indic 123
+     "asn '\u0661\u0662\u0663' is not a decimal number"),
+    ("1.2.3.0/24\tAS+5\torg\n",                    # a sign after the prefix
+     "asn '+5' is not a decimal number"),
+    ("1.2.3.0/24\tASX\torg\n4.5.6.0/24\tASX\torg\n",  # a repeated bad cell
+     "asn 'X' is not a decimal number"),
+]
+
+
+@pytest.mark.parametrize("bad,message", _BAD_ROWS,
+                         ids=[bad for bad, _ in _BAD_ROWS])
+def test_load_rejects_bad_rows_with_lineno(tmp_path, bad, message):
     path = write_snapshot(tmp_path, "# header\n" + bad)
-    with pytest.raises(SnapshotParseError, match="row 2"):
+    with pytest.raises(SnapshotParseError) as raised:
         load_ip2asn(path)
+    assert str(raised.value) == f"{path}: row 2: {message}"
+
+
+def _oracle_ip2asn_rows(path):
+    """``_ip2asn_rows`` as it read before it was one loop: the cells
+    ``_snapshot_rows`` gives, range ends as ``ipaddress`` reads them, and
+    every row in a list; a SnapshotParseError as it is raised."""
+    records = {}
+    rows = []
+    for lineno, cells in netintel._snapshot_rows(path):
+        try:
+            if "/" in cells[0]:
+                if len(cells) < 3:
+                    raise ValueError("expected cidr, asn, organization")
+                network = ipaddress.ip_network(cells[0], strict=False)
+                version = network.version
+                first = int(network.network_address)
+                last = int(network.broadcast_address)
+                asn, org = cells[1], cells[2:]
+            else:
+                if len(cells) < 4:
+                    raise ValueError("expected range_start, range_end, asn, org")
+                start = ipaddress.ip_address(cells[0])
+                end = ipaddress.ip_address(cells[1])
+                version, first = start.version, int(start)
+                if version != end.version:
+                    raise ValueError("range start and end differ in family")
+                last = int(end)
+                if first > last:
+                    raise ValueError("range start is after range end")
+                asn, org = cells[2], cells[3:]
+            key = (asn, ",".join(org))
+            record = records.get(key)
+            if record is None:
+                record = records[key] = AsnRecord(netintel._parse_asn(asn),
+                                                  key[1])
+        except ValueError as exc:
+            raise SnapshotParseError(f"{path}: row {lineno}: {exc}") from exc
+        rows.append((version, first, last, record))
+    return rows
+
+
+_ENDS = {4: st.ip_addresses(v=4), 6: st.ip_addresses(v=6)}
+_ODD_END = st.sampled_from(["fe80::1%eth0", "fe80::1%", "1.2.3.4%eth0",
+                            "1.2.3.4\x00", "::1\x00", "01.2.3.4", "1.2.3",
+                            "not-an-ip", " 10.0.0.1 ", "::ffff:1.2.3.4"])
+_ASN_CELL = st.one_of(st.integers(0, 2**32 + 1).map(str),
+                      st.integers(0, 70000).map("AS{}".format),
+                      st.sampled_from(["as7", "ASX", "-5", "1_000", ""]))
+_ORG_CELL = st.sampled_from(["ACME", "ACME, INC.", " NET ", 'THE "BEST"',
+                             "caf\u00e9", ""])
+
+
+def _quoted(cell):
+    return '"' + cell.replace('"', '""') + '"'
+
+
+@st.composite
+def _snapshot_line(draw):
+    """One snapshot line: a CIDR or range row of either family, a comment,
+    a blank line or text of the row characters. Rows may carry a scoped or
+    bad end, an embedded NUL, quoted orgs with commas or orgs over several
+    cells."""
+    kind = draw(st.sampled_from(["cidr", "range", "range", "comment",
+                                 "blank", "text"]))
+    if kind == "comment":
+        return "#" + draw(st.text(_LINE_CHARS, max_size=8))
+    if kind == "blank":
+        return draw(st.sampled_from(["", " ", "\t", " \t "]))
+    if kind == "text":
+        return draw(st.text(_LINE_CHARS | st.just("/"), min_size=1,
+                            max_size=20))
+    family = draw(st.sampled_from([4, 6]))
+    if kind == "cidr":
+        plen = draw(st.integers(0, 33 if family == 4 else 129))
+        head = [f"{draw(_ENDS[family])}/{plen}"]
+    else:
+        start, end = (draw(_ENDS[family]) for _ in range(2))
+        if draw(st.booleans()):
+            start, end = sorted((start, end))
+        if draw(st.integers(0, 4)) == 0:
+            end = draw(_ENDS[10 - family])          # the other family
+        head = [str(start), str(end)]
+        for i in (0, 1):
+            if draw(st.integers(0, 4)) == 0:
+                head[i] = draw(_ODD_END)
+    cells = head + [draw(_ASN_CELL)] + draw(st.lists(_ORG_CELL, max_size=3))
+    if draw(st.integers(0, 3)) == 0:
+        cells = [_quoted(cell) if draw(st.booleans()) else cell
+                 for cell in cells]
+    return draw(st.sampled_from(["\t", ","])).join(cells)
+
+
+@settings(max_examples=300)
+@given(lines=st.lists(_snapshot_line(), min_size=1, max_size=12))
+@example(lines=["fe80::1%eth0\tfe80::9%eth0\t64500\tLINK LOCAL",
+                "1.2.3.0\t1.2.3.255\t7\tACME, INC."])
+@example(lines=["1.2.3.0,1.2.3.9,7,\"ACME, INC.\"", "# comment", "",
+                "2001:db8::/32,AS9,ACME,INC.,EU"])
+@example(lines=["1.2.3.4\x00\t1.2.3.5\t7\tNUL"])
+@example(lines=["not-an-ip\t1.2.3\t7\tBOTH ENDS BAD"])
+@example(lines=["1.2.3.4\t::1\x00\t7\tNUL"])
+def test_ip2asn_rows_match_the_two_layer_reader(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("rows") / "ip2asn.tsv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        expected = _oracle_ip2asn_rows(path)
+    except SnapshotParseError as exc:
+        with pytest.raises(SnapshotParseError) as raised:
+            list(netintel._ip2asn_rows(path))
+        assert str(raised.value) == str(exc)
+    else:
+        assert list(netintel._ip2asn_rows(path)) == expected
 
 
 def test_longest_prefix_wins(tmp_path):
