@@ -6,6 +6,11 @@ alert), total volume. Proportions carry the content signal so volume
 lives only in the final column. Every randomized routine takes an
 explicit seed and is deterministic for a fixed one.
 
+K-Means refines all of its restarts in one Lloyd loop, and the
+silhouette scores all points at once. Each adds its floats in the order
+a restart or a point on its own would: numpy's sum order depends on the
+memory layout of what it sums, so the arrays are laid out for that.
+
 numpy is imported inside the functions that use it: every stage
 process imports this module through the CLI, and only the analysis
 needs numpy.
